@@ -13,7 +13,7 @@ from .fit_eval import (FitConfig, FitResult, MdsResult, bic, fit_em, kappa_mle,
                        knn_predict, mds_embed, mixture_log_likelihood,
                        mixture_log_pdf)
 from .geometry import (AntipodalMeansError, DistanceMatrix, TangentVector,
-                       exp_map, geodesic_distance, l2_distance_mc, log_map,
+                       exp_map, geodesic_distance, l2_distance, l2_distance_mc, log_map,
                        pairwise_matrix, wl_distance, wl_interpolate)
 from .reduction import (Partition, ReductionTrace, TraceEvent, greedy_reduce,
                         hclust_single_linkage, kmedoids, partitional_reduce)
@@ -27,7 +27,7 @@ __all__ = [
     "TraceEvent", "VmfMixture", "VmfParams", "barycenter", "bic", "exp_map",
     "fit_em", "frechet_mean", "geodesic_distance", "greedy_reduce",
     "hclust_single_linkage", "kappa_mle", "kmedoids", "knn_predict",
-    "l2_distance_mc", "log_bessel_i", "log_density", "log_map",
+    "l2_distance", "l2_distance_mc", "log_bessel_i", "log_density", "log_map",
     "log_normalizing_constant", "mds_embed", "mean_resultant_ratio",
     "mixture_log_likelihood", "mixture_log_pdf", "optimal_kappa",
     "pairwise_matrix", "partitional_reduce", "sample", "sample_mixture",

@@ -16,7 +16,7 @@ from .barycenter import BarycenterConfig, barycenter
 from .core import VmfMixture, sample_mixture
 from .experiments import ExperimentConfig, run_experiment
 from .fit_eval import FitConfig, fit_em, mds_embed
-from .geometry import (AntipodalMeansError, l2_distance_mc, wl_distance, wl_interpolate)
+from .geometry import AntipodalMeansError, l2_distance, wl_distance, wl_interpolate
 from .reduction import greedy_reduce, partitional_reduce
 
 _FMT = "%.17g"
@@ -38,10 +38,7 @@ def _load_mixture(path) -> VmfMixture:
 def _cmd_dist(args) -> None:
     a = formats.single_component(_load_mixture(args.a))
     b = formats.single_component(_load_mixture(args.b))
-    if args.metric == "wl":
-        value = wl_distance(a, b)
-    else:
-        value = l2_distance_mc(a, b, seed=args.seed, rel_tol=args.rel_tol)
+    value = wl_distance(a, b) if args.metric == "wl" else l2_distance(a, b)
     print(_FMT % value)
 
 
@@ -152,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--metric", choices=["wl", "l2"], default="wl")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rel-tol", type=float, default=1e-3)
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("barycenter", help="barycenter of a mixture file under its weights")

@@ -9,11 +9,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ive
 
 from .bessel import log_bessel_i
 from .rng import substream
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_TINY = np.finfo(np.float64).tiny
 
 # Construction tolerates serialization round-off but rejects genuinely bad
 # input: vectors off unit norm (or weight sums off 1) by more than this
@@ -150,6 +152,32 @@ def log_normalizing_constant(d: int, kappa: float) -> float:
         raise ValueError(f"kappa must be finite and > 0, got {kappa}")
     nu = d / 2.0 - 1.0
     return nu * math.log(kappa) - (d / 2.0) * _LOG_2PI - log_bessel_i(nu, kappa)
+
+
+def log_peak_density(d: int, kappa) -> np.ndarray:
+    """log C_d(kappa) + kappa, the log-density at the mean direction,
+    elementwise over an array of concentrations >= 0.
+
+    Kept apart from the exp(kappa) factor, this keeps its relative accuracy
+    at large kappa, where log C_d(kappa) alone carries an absolute rounding
+    error of about eps * kappa. Uses scipy's ive wherever it returns a normal
+    float and the scalar log_normalizing_constant where ive underflows
+    (small kappa at high d). kappa = 0 gives log C_d(0) = -log |S^{d-1}|,
+    the uniform density. The result is NaN above kappa ~ 1.09e9, where ive
+    stops, and for a non-finite kappa.
+    """
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    kappa = np.asarray(kappa, dtype=np.float64)
+    nu = d / 2.0 - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = ive(nu, kappa)
+        out = nu * np.log(kappa) - (d / 2.0) * _LOG_2PI - np.log(y)
+    out[kappa == 0.0] = math.lgamma(d / 2.0) - math.log(2.0) - (d / 2.0) * math.log(math.pi)
+    underflow = (kappa > 0.0) & (y < _TINY)
+    for i in np.flatnonzero(underflow):
+        out.flat[i] = log_normalizing_constant(d, kappa.flat[i]) + kappa.flat[i]
+    return out
 
 
 def log_density(p: VmfParams, x) -> float:

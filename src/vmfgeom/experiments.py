@@ -2,7 +2,7 @@
 
 sim1: a 2x2 factorial family of vMF laws on the circle (north/south mean
 direction x low/high concentration, 100 draws per cell). Pairwise WL and
-Monte-Carlo L2 distances are each scored by the cluster purity of a
+exact L2 distances are each scored by the cluster purity of a
 4-medoid (PAM) partition of the distance matrix itself against the known
 cell labels; their 2-d classical-MDS embeddings are written as the picture.
 
@@ -69,42 +69,6 @@ def sim1_population(seed: int):
     return laws, np.array(labels, dtype=np.int64)
 
 
-def _kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10,
-            max_iters: int = 200) -> np.ndarray:
-    """Plain Lloyd's k-means on Euclidean coordinates, used to score how
-    cleanly an embedding separates the known classes."""
-    n = points.shape[0]
-    best_inertia = math.inf
-    best_assign = None
-    for r in range(restarts):
-        rng = substream(seed, "kmeans", r)
-        centers = points[[int(rng.integers(n))]]
-        while centers.shape[0] < k:
-            d2 = np.min(((points[:, None, :] - centers[None, :, :]) ** 2).sum(-1), axis=1)
-            total = float(d2.sum())
-            if total <= 0.0:
-                nxt = int(rng.integers(n))
-            else:
-                nxt = int(rng.choice(n, p=d2 / total))
-            centers = np.vstack([centers, points[nxt]])
-        assign = np.zeros(n, dtype=np.int64)
-        for _ in range(max_iters):
-            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-            new_assign = np.argmin(d2, axis=1)
-            for j in range(k):
-                mask = new_assign == j
-                if mask.any():
-                    centers[j] = points[mask].mean(axis=0)
-            if np.array_equal(new_assign, assign):
-                break
-            assign = new_assign
-        inertia = float(((points - centers[assign]) ** 2).sum())
-        if inertia < best_inertia:
-            best_inertia = inertia
-            best_assign = assign
-    return best_assign
-
-
 def cluster_purity(assignment: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of points whose cluster's majority class matches their own."""
     total = 0
@@ -114,28 +78,29 @@ def cluster_purity(assignment: np.ndarray, labels: np.ndarray) -> float:
     return total / labels.size
 
 
-def run_sim1(seed: int, out_dir: str, rel_tol: float = 0.05) -> dict:
-    """Factorial-design comparison of the WL and L2 geometries.
+def run_sim1(seed: int, out_dir: str) -> dict:
+    """Factorial-design comparison of the WL and exact L2 geometries.
 
     Writes the population table, both distance matrices, both embeddings,
-    and a purity table; returns {'wl': purity, 'l2': purity}. Purity is
-    scored on each distance matrix by PAM with four medoids, not on the
-    embedding: the WL matrix is far from Euclidean and its concentration
-    split does not lie on the top two MDS axes.
+    and a purity table; returns {'wl': purity, 'l2': purity}. Both
+    distances are exact; the seed draws only the population and the PAM
+    starts. Purity is scored on each distance matrix by PAM with four
+    medoids, not on the embedding: the WL matrix is far from Euclidean and
+    its concentration split does not lie on the top two MDS axes.
     """
     os.makedirs(out_dir, exist_ok=True)
     laws, labels = sim1_population(seed)
 
     wl_dm = pairwise_matrix(laws, metric="wl")
-    l2_dm = pairwise_matrix(laws, metric="l2_mc",
-                            seed=_derived_seed(seed, "sim1-l2"), rel_tol=rel_tol)
+    l2_dm = pairwise_matrix(laws, metric="l2")
     write_distance_matrix(os.path.join(out_dir, "wl_matrix.csv"), wl_dm)
     write_distance_matrix(os.path.join(out_dir, "l2_matrix.csv"), l2_dm)
 
     with open(os.path.join(out_dir, "params.csv"), "w", encoding="utf-8") as fh:
         fh.write("type,label,mu_0,mu_1,kappa\n")
         for law, label in zip(laws, labels):
-            fh.write(f"{SIM1_CELLS[label][0]},{label},{law.mu[0]!r},{law.mu[1]!r},{law.kappa!r}\n")
+            fh.write(f"{SIM1_CELLS[label][0]},{label},{law.mu[0]:.17g},{law.mu[1]:.17g},"
+                     f"{law.kappa!r}\n")
 
     purities = {}
     for name, dm in (("wl", wl_dm), ("l2", l2_dm)):
@@ -145,7 +110,7 @@ def run_sim1(seed: int, out_dir: str, rel_tol: float = 0.05) -> dict:
         with open(os.path.join(out_dir, f"{name}_embedding.csv"), "w", encoding="utf-8") as fh:
             fh.write("x,y,label\n")
             for row, label in zip(emb.coords, labels):
-                fh.write(f"{row[0]!r},{row[1]!r},{label}\n")
+                fh.write(f"{row[0]:.17g},{row[1]:.17g},{label}\n")
 
     with open(os.path.join(out_dir, "purity.csv"), "w", encoding="utf-8") as fh:
         fh.write("metric,purity\n")

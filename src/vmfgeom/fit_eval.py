@@ -190,7 +190,12 @@ def _em_once(X: np.ndarray, cfg: FitConfig, rng: np.random.Generator):
     mixture = VmfMixture(
         components=tuple(VmfParams(mu=mus[j], kappa=kappas[j]) for j in range(k)),
         weights=weights)
-    return mixture, history[-1], iterations, converged, reseeds, tuple(history)
+    # Score the mixture returned: a restart stopped at max_iters has taken
+    # one more M-step than its last history entry.
+    ll = mixture_log_likelihood(mixture, X)
+    if not converged:
+        history.append(ll)
+    return mixture, ll, iterations, converged, reseeds, tuple(history)
 
 
 def fit_em(data: SampleSet, cfg: FitConfig) -> FitResult:

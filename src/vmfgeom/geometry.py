@@ -1,4 +1,5 @@
-"""Sphere primitives and the Wasserstein-like (WL) distance on vMF laws.
+"""Sphere primitives, the Wasserstein-like (WL) distance and the exact L2
+distance between vMF laws.
 
 The WL distance is the geodesic distance of the product manifold
 S^{d-1} x R+ carrying the arc-length metric on the sphere factor and the
@@ -8,16 +9,22 @@ pullback of s = 1/sqrt(kappa) on the concentration factor:
 
 It vanishes iff the laws coincide, reduces to the arc length as both
 concentrations grow, and blows up as either concentration vanishes.
+
+The L2 distance between the densities has a closed form because the product
+of two vMF densities is an unnormalised vMF density (Mardia & Jupp 2000):
+
+    int f_p f_q = C(k_p) C(k_q) / C(|k_p mu_p + k_q mu_q|),  C_d(0) = 1/|S^{d-1}|
+
+so L2^2 = int f_p^2 + int f_q^2 - 2 int f_p f_q. l2_distance_mc is kept as
+an independent Monte-Carlo cross-check of that formula.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VmfParams, _as_unit_vector, log_normalizing_constant
+from .core import VmfParams, _as_unit_vector, log_normalizing_constant, log_peak_density
 from .rng import substream
 
 
@@ -208,14 +215,69 @@ def l2_distance_mc(p: VmfParams, q: VmfParams, seed: int, rel_tol: float = 1e-3,
         batch = n_total  # doubling schedule
 
 
-def pairwise_matrix(items, metric: str = "wl", seed: int = 0,
-                    rel_tol: float = 1e-3, max_draws: int = 2 ** 23) -> DistanceMatrix:
-    """Pairwise distances between vMF laws under 'wl' or 'l2_mc'.
+def _l2_matrix(mus: np.ndarray, kappas: np.ndarray) -> np.ndarray:
+    """Exact L2 distances between the n laws given by (n, d) mean directions
+    and (n,) concentrations: an exactly symmetric n x n array with a zero
+    diagonal.
+
+    Every term stays in the log domain, with the exp(kappa) factors
+    cancelled analytically, and L2^2 is clamped at 0. The absolute error of
+    L2^2 is then a small multiple of eps (d + k_p + k_q) (int f_p^2 +
+    int f_q^2): nearly equal laws lose relative accuracy to cancellation,
+    and identical laws give exactly 0. Raises ValueError where a distance
+    is not a finite float64 (at d = 768, any two laws that do not nearly
+    coincide) or a resultant concentration exceeds about 1.09e9.
+    """
+    n, d = mus.shape
+    # Gram matrix summed one coordinate at a time, so each entry rounds the
+    # same way whatever n is (a BLAS product does not promise that): a pair
+    # alone gets the same value as inside a matrix. Dividing by
+    # sqrt(g_ii g_jj) makes the cosine of identical directions exactly 1.
+    gram = np.zeros((n, n))
+    for col in mus.T:
+        gram += np.multiply.outer(col, col)
+    i, j = np.triu_indices(n, 1)
+    norm2 = np.diag(gram)
+    cos = np.clip(gram[i, j] / np.sqrt(norm2[i] * norm2[j]), -1.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # The resultant |k_i mu_i + k_j mu_j| = big * root, and
+        # shift = resultant - k_i - k_j, both free of overflow and cancellation.
+        big = np.maximum(kappas[i], kappas[j])
+        t = np.minimum(kappas[i], kappas[j]) / big
+        root = np.sqrt((1.0 - t) ** 2 + 2.0 * t * (1.0 + cos))
+        shift = -2.0 * big * t * (1.0 - cos) / (root + 1.0 + t)
+        # With peak = log C + kappa, log int f_i f_j = peak_i + peak_j
+        # - peak(resultant) + shift, and log int f_i^2 is its i = j case.
+        peak = log_peak_density(d, kappas)
+        own = 2.0 * peak - log_peak_density(d, 2.0 * kappas)
+        cross = peak[i] + peak[j] - log_peak_density(d, big * root) + shift
+        top = np.maximum(own[i], own[j])
+        bracket = np.exp(own[i] - top) + np.exp(own[j] - top) - 2.0 * np.exp(cross - top)
+        dist = np.exp(0.5 * (top + np.log(np.maximum(bracket, 0.0))))
+    if not np.all(np.isfinite(dist)):
+        raise ValueError(f"the L2 distance cannot be evaluated in float64 for these laws (d = {d})")
+    out = np.zeros((n, n))
+    out[i, j] = dist
+    out[j, i] = dist
+    return out
+
+
+def l2_distance(p: VmfParams, q: VmfParams) -> float:
+    """Exact L2 distance (integral of (f_p - f_q)^2 over the sphere)^(1/2).
+
+    Runs the pairwise kernel on the two laws, so it equals the matching
+    entry of pairwise_matrix(..., metric="l2") bit for bit.
+    """
+    if p.d != q.d:
+        raise ValueError(f"dimension mismatch: {p.d} vs {q.d}")
+    return float(_l2_matrix(np.stack([p.mu, q.mu]), np.array([p.kappa, q.kappa]))[0, 1])
+
+
+def pairwise_matrix(items, metric: str = "wl") -> DistanceMatrix:
+    """Pairwise distances between vMF laws under 'wl' or 'l2' (exact).
 
     Each unordered pair is evaluated exactly once and mirrored, so the
-    result is exactly symmetric. For l2_mc the stream of pair (i, j) is
-    derived from (seed, i, j), which makes the matrix reproducible whether
-    pairs run sequentially or on VMFGEOM_THREADS workers.
+    result is exactly symmetric with a zero diagonal.
     """
     items = list(items)
     if not items:
@@ -224,30 +286,14 @@ def pairwise_matrix(items, metric: str = "wl", seed: int = 0,
     if any(p.d != d for p in items):
         raise ValueError("all distributions must share the same dimension")
     n = len(items)
-    out = np.zeros((n, n))
 
     if metric == "wl":
+        out = np.zeros((n, n))
         for i in range(n):
             for j in range(i + 1, n):
                 out[i, j] = out[j, i] = wl_distance(items[i], items[j])
-    elif metric == "l2_mc":
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-        def one(pair):
-            i, j = pair
-            pair_seed = substream(seed, "l2-pair", i, j).integers(0, 2 ** 62)
-            return l2_distance_mc(items[i], items[j], seed=int(pair_seed),
-                                  rel_tol=rel_tol, max_draws=max_draws)
-
-        workers = int(os.environ.get("VMFGEOM_THREADS", "1"))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                vals = list(pool.map(one, pairs))
-        else:
-            vals = [one(pair) for pair in pairs]
-        for (i, j), v in zip(pairs, vals):
-            out[i, j] = v
-            out[j, i] = v
+    elif metric == "l2":
+        out = _l2_matrix(np.stack([p.mu for p in items]), np.array([p.kappa for p in items]))
     else:
-        raise ValueError(f"unknown metric {metric!r} (expected 'wl' or 'l2_mc')")
+        raise ValueError(f"unknown metric {metric!r} (expected 'wl' or 'l2')")
     return DistanceMatrix(entries=out)

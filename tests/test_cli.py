@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from vmfgeom import VmfMixture, VmfParams
+from vmfgeom import VmfMixture, VmfParams, l2_distance
 from vmfgeom.cli import main
 from vmfgeom.formats import read_mixture, read_samples, write_mixture
 
@@ -39,8 +39,23 @@ class TestDist:
 
     def test_l2_same_file_tiny(self, laws, capsys):
         a, _ = laws
-        assert main(["dist", a, a, "--metric", "l2", "--rel-tol", "1e-6"]) == 0
-        assert float(capsys.readouterr().out) < 1e-6
+        assert main(["dist", a, a, "--metric", "l2"]) == 0
+        assert float(capsys.readouterr().out) == 0.0
+
+    def test_l2_exact_value(self, laws, capsys):
+        a, b = laws
+        assert main(["dist", a, b, "--metric", "l2"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert float(out) == l2_distance(read_mixture(a).components[0],
+                                         read_mixture(b).components[0])
+
+    def test_l2_beyond_float64_exit_2(self, tmp_path, capsys):
+        d = 768
+        a = write_single(tmp_path / "a768.json", np.eye(d)[0], 1e-6)
+        b = write_single(tmp_path / "b768.json", np.eye(d)[1], 1e-3)
+        assert main(["dist", a, b, "--metric", "l2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

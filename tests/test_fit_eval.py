@@ -11,7 +11,7 @@ from scipy.special import ive
 from vmfgeom import (DistanceMatrix, FitConfig, SampleSet, VmfParams, bic, fit_em, kappa_mle, knn_predict,
                      mds_embed, mixture_log_likelihood, sample,
                      sample_mixture, geodesic_distance)
-from vmfgeom.experiments import sim2_truth
+from vmfgeom.experiments import SIM2_N, _derived_seed, sim2_truth
 
 mp.mp.dps = 40
 
@@ -121,6 +121,16 @@ class TestFitEm:
         assert fit.bic == bic(fit.log_likelihood, 3, 2, 400)
         recomputed = mixture_log_likelihood(fit.mixture, data.points)
         assert recomputed == pytest.approx(fit.log_likelihood, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [2, 7])
+    def test_loglik_is_that_of_the_returned_mixture(self, k):
+        # sim2 seed 0: the best K = 2 and K = 7 restarts stop at max_iters,
+        # one M-step past the last log-likelihood they evaluated in the loop.
+        data = sample_mixture(sim2_truth(), SIM2_N, seed=_derived_seed(0, "sim2-sample"))
+        fit = fit_em(data, FitConfig(k=k, restarts=10, seed=_derived_seed(0, "sim2-fit", k)))
+        assert not fit.converged
+        assert fit.log_likelihood == mixture_log_likelihood(fit.mixture, data.points)
+        assert fit.history[-1] == fit.log_likelihood
 
     def test_deterministic_given_seed(self):
         truth = sim2_truth()

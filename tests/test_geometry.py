@@ -1,16 +1,17 @@
-"""Sphere maps, the WL distance, interpolation, and Monte-Carlo L2."""
+"""Sphere maps, the WL distance, interpolation, and exact and Monte-Carlo L2."""
 
 import math
-import os
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from vmfgeom import (AntipodalMeansError, DistanceMatrix, TangentVector,
-                     VmfParams, exp_map, geodesic_distance, l2_distance_mc,
-                     log_map, log_normalizing_constant, pairwise_matrix,
-                     wl_distance, wl_interpolate)
+                     VmfParams, exp_map, geodesic_distance, l2_distance,
+                     l2_distance_mc, log_map, log_normalizing_constant,
+                     pairwise_matrix, wl_distance, wl_interpolate)
+from vmfgeom.core import log_peak_density
 
 
 def random_unit(rng, d):
@@ -226,6 +227,142 @@ class TestL2MonteCarlo:
             l2_distance_mc(p, q, seed=4, rel_tol=1e-3)
 
 
+def mp_l2_squared(p, q):
+    """(L2^2, int f_p^2 + int f_q^2) of two laws at 50 digits, from the
+    closed form int f_p f_q = C(k_p) C(k_q) / C(|k_p mu_p + k_q mu_q|)."""
+    with mpmath.workdps(50):
+        d = p.d
+        nu = mpmath.mpf(d) / 2 - 1
+
+        def log_c(k):
+            if k == 0:
+                return mpmath.loggamma(mpmath.mpf(d) / 2) - mpmath.log(2) \
+                    - (mpmath.mpf(d) / 2) * mpmath.log(mpmath.pi)
+            return nu * mpmath.log(k) - (mpmath.mpf(d) / 2) * mpmath.log(2 * mpmath.pi) \
+                - mpmath.log(mpmath.besseli(nu, k))
+
+        kp, kq = mpmath.mpf(p.kappa), mpmath.mpf(q.kappa)
+        r = mpmath.sqrt(sum((kp * mpmath.mpf(a) + kq * mpmath.mpf(b)) ** 2
+                            for a, b in zip(p.mu.tolist(), q.mu.tolist())))
+        sp = mpmath.exp(2 * log_c(kp) - log_c(2 * kp))
+        sq = mpmath.exp(2 * log_c(kq) - log_c(2 * kq))
+        cross = mpmath.exp(log_c(kp) + log_c(kq) - log_c(r))
+        return sp + sq - 2 * cross, sp + sq
+
+
+class TestL2Exact:
+    KAPPAS = (1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5)
+    ANGLES = (0.0, 1e-4, 0.3, 2.0, math.pi)
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 100])
+    def test_matches_mpmath_within_stated_bound(self, d):
+        # |error of L2^2| <= c eps (d + k_p + k_q) (int f_p^2 + int f_q^2); the
+        # grid's worst case is c = 10.2 (d = 100, k = 1e-6, uniform-like laws).
+        eps = np.finfo(float).eps
+        worst = 0.0
+        for angle in self.ANGLES:
+            mu_q = np.zeros(d)
+            mu_q[0], mu_q[1] = math.cos(angle), math.sin(angle)
+            for kp in self.KAPPAS:
+                for kq in self.KAPPAS:
+                    p = VmfParams(mu=np.eye(d)[0], kappa=kp)
+                    q = VmfParams(mu=mu_q, kappa=kq)
+                    got = l2_distance(p, q)
+                    want, norm = mp_l2_squared(p, q)
+                    err = abs(mpmath.mpf(got) ** 2 - want) / (eps * (d + kp + kq) * norm)
+                    worst = max(worst, float(err))
+        assert worst <= 32.0
+
+    def test_high_concentration_stays_accurate(self):
+        # With exp(kappa) cancelled analytically, kappa = 1e8 keeps full
+        # relative accuracy for well-separated laws.
+        p = VmfParams(mu=[1.0, 0.0], kappa=1e8)
+        q = VmfParams(mu=[0.0, 1.0], kappa=1e-300)
+        want, _ = mp_l2_squared(p, q)
+        assert l2_distance(p, q) == pytest.approx(float(mpmath.sqrt(want)), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_agrees_with_monte_carlo(self, d):
+        # l2_distance_mc at rel_tol = 0 averages exactly max_draws uniform
+        # draws; its L2^2 must lie within 5 standard errors of the exact value,
+        # with the standard error estimated from an independent sample.
+        draws = 2 ** 17
+        rng = np.random.default_rng(d)
+        log_area = math.log(2.0) + (d / 2.0) * math.log(math.pi) - math.lgamma(d / 2.0)
+        for kp, kq in ((0.1, 0.5), (1.0, 3.0), (2.0, 10.0), (10.0, 10.0)):
+            p, q = random_params(rng, d, (kp, kp)), random_params(rng, d, (kq, kq))
+            x = rng.standard_normal((2 ** 15, d))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            fp = np.exp(log_normalizing_constant(d, p.kappa) + p.kappa * (x @ p.mu))
+            fq = np.exp(log_normalizing_constant(d, q.kappa) + q.kappa * (x @ q.mu))
+            se = math.exp(log_area) * float(np.std((fp - fq) ** 2)) / math.sqrt(draws)
+            mc = l2_distance_mc(p, q, seed=d, rel_tol=0.0, max_draws=draws)
+            assert abs(mc ** 2 - l2_distance(p, q) ** 2) <= 5.0 * se
+
+    def test_matches_circle_quadrature(self):
+        kappa = 1.0
+        p = VmfParams(mu=[1.0, 0.0], kappa=kappa)
+        q = VmfParams(mu=[0.0, 1.0], kappa=kappa)
+        theta = np.linspace(0.0, 2.0 * math.pi, 1_000_001)
+        logc = log_normalizing_constant(2, kappa)
+        f1 = np.exp(logc + kappa * np.cos(theta))
+        f2 = np.exp(logc + kappa * np.sin(theta))
+        oracle = math.sqrt(np.trapezoid((f1 - f2) ** 2, theta))
+        assert l2_distance(p, q) == pytest.approx(oracle, rel=1e-10)
+
+    def test_identical_laws_exactly_zero(self):
+        rng = np.random.default_rng(11)
+        for d in (2, 3, 10, 100):
+            for kappa in (1e-6, 0.7, 10.0, 1e5, 1e8):
+                p = VmfParams(mu=random_unit(rng, d), kappa=kappa)
+                assert l2_distance(p, p) == 0.0
+                twin = VmfParams(mu=p.mu.copy(), kappa=kappa)
+                dm = pairwise_matrix([p, random_params(rng, d), twin], metric="l2")
+                assert dm.entries[0, 2] == 0.0 and dm.entries[0, 1] > 0.0
+
+    def test_symmetric_in_its_arguments(self):
+        rng = np.random.default_rng(12)
+        for d in (2, 3, 10):
+            p, q = random_params(rng, d), random_params(rng, d)
+            assert l2_distance(p, q) == l2_distance(q, p)
+
+    def test_d768_raises(self):
+        d = 768
+        p = VmfParams(mu=np.eye(d)[0], kappa=1e-6)
+        q = VmfParams(mu=np.eye(d)[1], kappa=1e-3)
+        with pytest.raises(ValueError, match="float64"):
+            l2_distance(p, q)
+
+    def test_beyond_bessel_range_raises(self):
+        p = VmfParams(mu=[1.0, 0.0], kappa=1e308)
+        q = VmfParams(mu=[0.0, 1.0], kappa=1e-300)
+        with pytest.raises(ValueError, match="float64"):
+            l2_distance(p, q)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            l2_distance(VmfParams(mu=[1, 0], kappa=1.0), VmfParams(mu=[1, 0, 0], kappa=1.0))
+
+
+class TestLogPeakDensity:
+    @pytest.mark.parametrize("d", [2, 3, 10, 100, 768])
+    def test_matches_scalar_constant(self, d):
+        kappas = np.array([1e-6, 1e-2, 1.0, 30.0, 500.0, 1e4, 1e8])
+        got = log_peak_density(d, kappas)
+        want = np.array([log_normalizing_constant(d, k) + k for k in kappas])
+        # The scalar path rounds log C to eps * kappa before kappa is added back.
+        tol = 1e-12 * np.abs(want) + 4.0 * np.finfo(float).eps * (kappas + 1.0)
+        assert np.all(np.abs(got - want) <= tol)
+
+    @pytest.mark.parametrize("d", [2, 3, 768])
+    def test_zero_is_the_uniform_density(self, d):
+        log_area = math.log(2.0) + (d / 2.0) * math.log(math.pi) - math.lgamma(d / 2.0)
+        assert log_peak_density(d, np.array([0.0]))[0] == pytest.approx(-log_area, rel=1e-14)
+
+    def test_beyond_ive_range_is_nan(self):
+        assert np.isnan(log_peak_density(3, np.array([1e10, np.inf]))).all()
+
+
 class TestPairwiseMatrix:
     def laws(self, n=12, d=3, seed=10):
         rng = np.random.default_rng(seed)
@@ -234,11 +371,15 @@ class TestPairwiseMatrix:
     def test_single_item(self):
         dm = pairwise_matrix(self.laws(1), metric="wl")
         assert dm.n == 1 and dm.entries[0, 0] == 0.0
+        dm = pairwise_matrix(self.laws(1), metric="l2")
+        assert dm.n == 1 and dm.entries[0, 0] == 0.0
 
     def test_two_items(self):
         laws = self.laws(2)
         dm = pairwise_matrix(laws, metric="wl")
         assert dm.entries[0, 1] == wl_distance(laws[0], laws[1])
+        dm = pairwise_matrix(laws, metric="l2")
+        assert dm.entries[0, 1] == l2_distance(laws[0], laws[1])
 
     def test_matches_elementwise_recompute(self):
         laws = self.laws(15)
@@ -249,25 +390,26 @@ class TestPairwiseMatrix:
                 assert dm.entries[i, j] == pytest.approx(want, abs=1e-15)
 
     def test_exactly_symmetric(self):
-        dm = pairwise_matrix(self.laws(9), metric="l2_mc", seed=2, rel_tol=0.1)
+        dm = pairwise_matrix(self.laws(9), metric="l2")
         assert np.array_equal(dm.entries, dm.entries.T)
         assert np.all(np.diag(dm.entries) == 0.0)
 
-    def test_l2_deterministic_and_thread_invariant(self):
-        laws = self.laws(8)
-        a = pairwise_matrix(laws, metric="l2_mc", seed=5, rel_tol=0.05)
-        b = pairwise_matrix(laws, metric="l2_mc", seed=5, rel_tol=0.05)
-        assert np.array_equal(a.entries, b.entries)
-        os.environ["VMFGEOM_THREADS"] = "4"
-        try:
-            c = pairwise_matrix(laws, metric="l2_mc", seed=5, rel_tol=0.05)
-        finally:
-            del os.environ["VMFGEOM_THREADS"]
-        assert np.array_equal(a.entries, c.entries)
+    def test_l2_deterministic_and_matches_scalar(self):
+        for d in (2, 3, 10, 100):
+            laws = self.laws(30, d=d)
+            a = pairwise_matrix(laws, metric="l2")
+            b = pairwise_matrix(laws, metric="l2")
+            assert np.array_equal(a.entries, b.entries)
+            for i in range(30):
+                for j in range(30):
+                    if i != j:
+                        assert l2_distance(laws[i], laws[j]) == a.entries[i, j]
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
             pairwise_matrix(self.laws(3), metric="cosine")
+        with pytest.raises(ValueError):
+            pairwise_matrix(self.laws(3), metric="l2_mc")
 
 
 class TestTangentVectorType:
