@@ -4,9 +4,11 @@ Mixture files are UTF-8 JSON:
 
     {"dim": d, "components": [{"weight": w, "mu": [...], "kappa": k}, ...]}
 
-A single law is a mixture with one component of weight 1. Floats in CSV
-output use 17 significant digits; JSON floats use Python's shortest
-round-trip representation. Both survive a write/read cycle bit-exactly.
+"dim" is optional; when present it must be a JSON integer equal to the
+length of every "mu". A single law is a mixture with one component of
+weight 1. Floats in CSV output use 17 significant digits; JSON floats use
+Python's shortest round-trip representation. Both survive a write/read
+cycle bit-exactly.
 """
 
 import json
@@ -47,8 +49,9 @@ def mixture_from_dict(doc: dict) -> VmfMixture:
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed component entry: {err}") from err
     m = VmfMixture(components=tuple(params), weights=np.asarray(weights))
-    if "dim" in doc and int(doc["dim"]) != m.d:
-        raise ValueError(f"declared dim {doc['dim']} does not match components ({m.d})")
+    dim = doc.get("dim", m.d)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim != m.d:
+        raise ValueError(f"declared dim {dim!r} is not the components' dimension ({m.d})")
     return m
 
 

@@ -2,7 +2,10 @@
 
 Both families summarize merged groups by their WL barycenter under the
 group's renormalized weights and assign the group's total weight to the
-result, so mixture mass is conserved at every step.
+result, so mixture mass is conserved at every step. WL distances come from
+geometry's array kernel: the first matrix through pairwise_matrix (and so
+under its size cap), and greedy's new row after each merge as one law
+against the live components.
 
 Trace semantics: each event lists positions into the live component list as
 it stood immediately before that event; the merged components are removed
@@ -16,7 +19,7 @@ import numpy as np
 
 from .barycenter import BarycenterConfig, barycenter
 from .core import VmfMixture, VmfParams
-from .geometry import AntipodalMeansError, DistanceMatrix, wl_distance
+from .geometry import AntipodalMeansError, DistanceMatrix, _wl_matrix, pairwise_matrix
 from .rng import substream
 
 
@@ -86,11 +89,7 @@ def greedy_reduce(m: VmfMixture, target_k: int, cfg: BarycenterConfig = Barycent
         raise ValueError(f"target_k must be in [1, {m.k - 1}], got {target_k}")
     comps = list(m.components)
     weights = list(m.weights)
-    n = len(comps)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = wl_distance(comps[i], comps[j])
+    dist = pairwise_matrix(comps).entries  # read-only; each merge rebuilds it
 
     events = []
     while len(comps) > target_k:
@@ -108,7 +107,9 @@ def greedy_reduce(m: VmfMixture, target_k: int, cfg: BarycenterConfig = Barycent
             del comps[idx]
             del weights[idx]
         dist = np.delete(np.delete(dist, (i, j), axis=0), (i, j), axis=1)
-        new_row = np.array([wl_distance(params, c) for c in comps])
+        rest = np.reshape([c.mu for c in comps], (-1, m.d))  # (0, d) when nothing is left
+        new_row = _wl_matrix(params.mu[None], np.array([params.kappa]),
+                             rest, np.array([c.kappa for c in comps]))[0]
         comps.append(params)
         weights.append(weight)
         dist = np.pad(dist, ((0, 1), (0, 1)))
@@ -166,9 +167,13 @@ def kmedoids(dm: DistanceMatrix, target_k: int, seed: int = 0, max_iters: int = 
     """Partition around medoids from a distance matrix (PAM build + swap).
 
     BUILD greedily seeds medoids by largest cost decrease; SWAP repeatedly
-    applies the single best strictly improving (medoid, non-medoid) exchange.
-    The seed breaks exact ties only, so runs on tie-free matrices are
-    seed-independent. Cost never increases across swap iterations.
+    applies the single best improving (medoid, non-medoid) exchange. A swap
+    counts as improving only when it lowers the cost by more than n * eps *
+    cost, the rounding bound of the cost's n-term sum of nonnegative
+    distances: a smaller decrease may be a tie in exact arithmetic, and
+    acting on it would make the partition depend on the last bits of the
+    matrix. The seed breaks exact ties only, so runs on tie-free matrices
+    are seed-independent. Cost never increases across swap iterations.
     """
     n = dm.n
     if not 1 <= target_k <= n:
@@ -193,6 +198,7 @@ def kmedoids(dm: DistanceMatrix, target_k: int, seed: int = 0, max_iters: int = 
 
     current = cost_of(medoids)
     for _ in range(max_iters):
+        threshold = current - n * np.finfo(float).eps * current
         best_swap = None
         for pos in range(len(medoids)):
             for h in range(n):
@@ -201,7 +207,7 @@ def kmedoids(dm: DistanceMatrix, target_k: int, seed: int = 0, max_iters: int = 
                 trial = list(medoids)
                 trial[pos] = h
                 c = cost_of(trial)
-                if c < current and (best_swap is None or c < best_swap[0]):
+                if c < threshold and (best_swap is None or c < best_swap[0]):
                     best_swap = (c, pos, h)
         if best_swap is None:
             break
@@ -224,11 +230,7 @@ def partitional_reduce(m: VmfMixture, target_k: int, method: str = "hclust",
     if method not in ("hclust", "kmedoids"):
         raise ValueError(f"unknown method {method!r}")
     n = m.k
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = wl_distance(m.components[i], m.components[j])
-    dm = DistanceMatrix(entries=dist)
+    dm = pairwise_matrix(m.components)
     if method == "hclust":
         part = hclust_single_linkage(dm, target_k)
     else:

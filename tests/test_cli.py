@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vmfgeom
 from vmfgeom import VmfMixture, VmfParams, l2_distance
 from vmfgeom.cli import main
 from vmfgeom.formats import read_mixture, read_samples, write_mixture
+from vmfgeom.geometry import MAX_PAIRWISE_LAWS
 
 
 def write_single(path, mu, kappa):
@@ -76,6 +81,17 @@ class TestDist:
         other = write_single(tmp_path / "c.json", [1.0, 0.0], 1.0)
         assert main(["dist", a, other]) == 2
 
+    @pytest.mark.parametrize("dim", [None, 2.7, "x", True])
+    def test_malformed_dim_exit_2(self, tmp_path, dim):
+        doc = {"dim": dim, "components": [{"weight": 1.0, "mu": [1.0, 0.0], "kappa": 1.0}]}
+        path = tmp_path / "dim.json"
+        path.write_text(json.dumps(doc))
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(vmfgeom.__file__))}
+        run = subprocess.run([sys.executable, "-m", "vmfgeom.cli", "dist", str(path), str(path)],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 2
+        assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+
 
 class TestBarycenter:
     def test_writes_single_component(self, tmp_path):
@@ -127,6 +143,16 @@ class TestReduce:
     def test_k_too_large_exit_2(self, tmp_path):
         src = self.mixture_file(tmp_path)
         assert main(["reduce", src, "--k", "5", "-o", str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("method", ["greedy", "hclust", "kmedoids"])
+    def test_too_many_components_exit_2(self, tmp_path, capsys, method):
+        n = MAX_PAIRWISE_LAWS + 1
+        doc = {"dim": 2, "components": [{"weight": 1.0 / n, "mu": [1.0, 0.0], "kappa": 1.0}] * n}
+        src = tmp_path / "big.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "x.json"
+        assert main(["reduce", str(src), "--k", "2", "--method", method, "-o", str(out)]) == 2
+        assert "pairwise limit" in capsys.readouterr().err and not out.exists()
 
     def test_deterministic_bytes(self, tmp_path):
         src = self.mixture_file(tmp_path)

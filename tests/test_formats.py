@@ -43,6 +43,18 @@ class TestMixtureJson:
         with pytest.raises(ValueError):
             mixture_from_dict(doc)
 
+    @pytest.mark.parametrize("dim", [None, 2.7, 3.0, "3", True, [3]])
+    def test_dim_must_be_an_integer(self, dim):
+        doc = mixture_to_dict(a_mixture())
+        doc["dim"] = dim
+        with pytest.raises(ValueError, match="declared dim"):
+            mixture_from_dict(doc)
+
+    def test_dim_optional(self):
+        doc = mixture_to_dict(a_mixture())
+        del doc["dim"]
+        assert mixture_from_dict(doc).d == 3
+
     def test_malformed_files(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,6 +1,7 @@
 """Sphere maps, the WL distance, interpolation, and exact and Monte-Carlo L2."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from vmfgeom import (AntipodalMeansError, DistanceMatrix, TangentVector,
                      l2_distance_mc, log_map, log_normalizing_constant,
                      pairwise_matrix, wl_distance, wl_interpolate)
 from vmfgeom.core import log_peak_density
+from vmfgeom.geometry import MAX_PAIRWISE_LAWS
 
 
 def random_unit(rng, d):
@@ -22,6 +24,13 @@ def random_unit(rng, d):
 def random_params(rng, d, kappa_range=(0.05, 50.0)):
     kappa = math.exp(rng.uniform(math.log(kappa_range[0]), math.log(kappa_range[1])))
     return VmfParams(mu=random_unit(rng, d), kappa=kappa)
+
+
+def wl_scalar(p, q):
+    """Oracle: the WL closed form evaluated one pair at a time in Python floats."""
+    ang = math.acos(min(1.0, max(-1.0, float(p.mu @ q.mu))))
+    ds = 1.0 / math.sqrt(p.kappa) - 1.0 / math.sqrt(q.kappa)
+    return math.sqrt(ang * ang + (p.d - 1) * ds * ds)
 
 
 class TestGeodesicDistance:
@@ -410,6 +419,66 @@ class TestPairwiseMatrix:
             pairwise_matrix(self.laws(3), metric="cosine")
         with pytest.raises(ValueError):
             pairwise_matrix(self.laws(3), metric="l2_mc")
+
+
+class TestWlKernel:
+    """pairwise_matrix(..., "wl") and wl_distance share one array kernel."""
+
+    # The concentration ranges keep every distance below 8, where one ulp is
+    # 8.9e-16, so the tolerances read as "one ulp" and "a few ulp".
+    @pytest.mark.parametrize("d, kappas, tol", [
+        (2, (0.5, 50.0), 1e-15), (3, (0.5, 50.0), 1e-15), (10, (0.5, 50.0), 1e-15),
+        (768, (100.0, 2000.0), 4e-15)])
+    def test_matches_scalar_oracle(self, d, kappas, tol):
+        rng = np.random.default_rng(d)
+        # Generic directions: near +-1, acos turns the last-bit differences
+        # between a BLAS product and a plain dot product into errors of up
+        # to about sqrt(2 eps), in the oracle as much as in the kernel.
+        laws = [random_params(rng, d, kappas) for _ in range(40)]
+        dm = pairwise_matrix(laws, metric="wl").entries
+        for i, p in enumerate(laws):
+            for j, q in enumerate(laws):
+                if i != j:
+                    want = wl_scalar(p, q)
+                    assert abs(dm[i, j] - want) <= tol
+                    assert abs(wl_distance(p, q) - want) <= tol
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 768])
+    def test_exactly_symmetric_zero_diagonal(self, d):
+        rng = np.random.default_rng(100 + d)
+        laws = [random_params(rng, d) for _ in range(25)]
+        dm = pairwise_matrix(laws, metric="wl").entries
+        assert np.array_equal(dm, dm.T)
+        assert np.all(np.diag(dm) == 0.0)
+        for p, q in zip(laws[:-1], laws[1:]):
+            assert wl_distance(p, q) == wl_distance(q, p)
+
+    def test_sim1_within_benchmark_tolerance(self):
+        # The benchmark refuses a sim1 WL matrix more than 1e-12 away from
+        # this reference, built on the same BLAS product.
+        from vmfgeom.experiments import sim1_population
+        laws, _ = sim1_population(0)
+        mus = np.stack([p.mu for p in laws])
+        s = 1.0 / np.sqrt([p.kappa for p in laws])
+        ang = np.arccos(np.clip(mus @ mus.T, -1.0, 1.0))
+        ref = np.sqrt(ang ** 2 + (s[:, None] - s[None, :]) ** 2)
+        np.fill_diagonal(ref, 0.0)
+        dm = pairwise_matrix(laws, metric="wl").entries
+        assert np.abs(dm - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("metric", ["wl", "l2"])
+    def test_too_many_laws_rejected_before_allocating(self, metric):
+        law = VmfParams(mu=[1.0, 0.0], kappa=1.0)
+        laws = [law] * (MAX_PAIRWISE_LAWS + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="pairwise limit"):
+                pairwise_matrix(laws, metric=metric)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # one n x n float64 matrix would take 200 MB
+        assert MAX_PAIRWISE_LAWS >= 2_000  # a 2,000-component mixture still reduces
 
 
 class TestTangentVectorType:

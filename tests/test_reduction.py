@@ -9,8 +9,8 @@ import pytest
 from vmfgeom import (DistanceMatrix, FitConfig, Partition,
                      VmfMixture, VmfParams, fit_em, geodesic_distance,
                      greedy_reduce, hclust_single_linkage, kmedoids,
-                     partitional_reduce, sample_mixture)
-from vmfgeom.experiments import sim2_truth
+                     pairwise_matrix, partitional_reduce, sample_mixture)
+from vmfgeom.experiments import _derived_seed, sim2_truth
 
 
 def mst_deletion_partition(d: np.ndarray, target_k: int) -> np.ndarray:
@@ -289,6 +289,39 @@ class TestKmedoids:
         a = kmedoids(dm, 3, seed=4)
         b = kmedoids(dm, 3, seed=4)
         assert np.array_equal(a.assignment, b.assignment)
+
+    def test_swap_ignores_rounding_noise(self):
+        # sim2 seed 3: the K = 10 fit, reduced to K = 4. Two WL matrices of
+        # these laws that differ only by rounding (at most 8.9e-16, in 28
+        # cells) must give one partition. Acting on any cost decrease, SWAP
+        # traded medoid 8 for 7 (members of one cluster) on the second
+        # matrix for a 4.4e-16 gain and reached another local optimum.
+        fit = [([0.040046280159406145, -0.9991978259811188], 9.477428569684571),
+               ([-0.167335225504034, 0.9859000569558327], 24.457831197242697),
+               ([0.9960896093330722, 0.08834868521199218], 22.863453749150136),
+               ([0.922953727738062, -0.384910920154801], 155.50438259120583),
+               ([-0.993969407651986, -0.10965772499901719], 654.5482657137851),
+               ([-0.9849058157426538, 0.17309111507035135], 36.62530494417851),
+               ([-0.921202882319387, -0.3890825742775611], 118.41912126283842),
+               ([-0.6371147218517207, 0.7707689869213761], 2613.8731006013945),
+               ([-0.8424584785072348, 0.538761275511961], 592.7464616587013),
+               ([0.3219108481717717, 0.9467699857036717], 10.589298331662086)]
+        laws = [VmfParams(mu=mu, kappa=kappa) for mu, kappa in fit]
+        exact = pairwise_matrix(laws).entries
+        # The same closed form with normalised, per-coordinate cosines.
+        mus = np.array([mu for mu, _ in fit])
+        s = 1.0 / np.sqrt([kappa for _, kappa in fit])
+        gram = np.multiply.outer(mus[:, 0], mus[:, 0]) + np.multiply.outer(mus[:, 1], mus[:, 1])
+        norm = np.sqrt(np.diag(gram))
+        ang = np.arccos(np.clip(gram / np.outer(norm, norm), -1.0, 1.0))
+        other = np.sqrt(ang * ang + np.subtract.outer(s, s) ** 2)
+        other = np.triu(other, 1) + np.triu(other, 1).T
+        assert 0.0 < np.abs(other - exact).max() <= 8.9e-16
+
+        seed = _derived_seed(3, "sim2-reduce", "kmedoids", 4)
+        want = [0, 1, 0, 0, 2, 2, 2, 3, 3, 1]
+        for m in (exact, other):
+            assert kmedoids(DistanceMatrix(entries=m), 4, seed=seed).assignment.tolist() == want
 
 
 class TestPartitionalReduce:
