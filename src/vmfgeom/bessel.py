@@ -16,18 +16,23 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # series and log(ive)+x agree to ~1e-13 relative across the underflow seam
 # for orders up to nu = 400 (see the seam test).
 _SERIES_TERMS = 200
+_SERIES_BLOCK = 4096  # arguments per table of terms: 200 x 4096 float64 is 6.5 MB
 
 
-def _log_iv_series(nu: float, x: float) -> float:
-    """Power series for log I_nu(x), evaluated entirely in the log domain.
+def _log_iv_series(nu: float, x):
+    """Power series for log I_nu(x), evaluated entirely in the log domain,
+    elementwise over an array x, a block of arguments at a time.
 
     Accurate where the series converges quickly (x^2/4 small relative to nu),
-    which is exactly the regime where scipy's ive underflows to zero.
+    which is exactly the regime where scipy's ive underflows to zero. A float
+    x takes math.log (numpy's log may round an ulp away) and gives a float.
     """
     m = np.arange(_SERIES_TERMS)
-    log_terms = (2 * m + nu) * (math.log(x) - math.log(2.0)) \
-        - gammaln(m + 1.0) - gammaln(m + 1.0 + nu)
-    return float(logsumexp(log_terms))
+    log_x = np.reshape(np.log(x) if np.ndim(x) else math.log(x), (-1, 1))
+    blocks = np.split(log_x, range(_SERIES_BLOCK, len(log_x), _SERIES_BLOCK))
+    out = np.concatenate([logsumexp((2 * m + nu) * (b - math.log(2.0)) - gammaln(m + 1.0)
+                                    - gammaln(m + 1.0 + nu), axis=1) for b in blocks])
+    return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 
 def _log_iv_large_x(nu: float, x: float) -> float:

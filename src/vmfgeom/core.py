@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ive
 
-from .bessel import log_bessel_i
+from .bessel import _log_iv_series, log_bessel_i
 from .rng import substream
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -161,10 +161,10 @@ def log_peak_density(d: int, kappa) -> np.ndarray:
     Kept apart from the exp(kappa) factor, this keeps its relative accuracy
     at large kappa, where log C_d(kappa) alone carries an absolute rounding
     error of about eps * kappa. Uses scipy's ive wherever it returns a normal
-    float and the scalar log_normalizing_constant where ive underflows
-    (small kappa at high d). kappa = 0 gives log C_d(0) = -log |S^{d-1}|,
-    the uniform density. The result is NaN above kappa ~ 1.09e9, where ive
-    stops, and for a non-finite kappa.
+    float and the log-domain power series where ive underflows (small kappa
+    at high d). kappa = 0 gives log C_d(0) = -log |S^{d-1}|, the uniform
+    density. The result is NaN above kappa ~ 1.09e9, where ive stops, and
+    for a non-finite kappa.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
@@ -172,11 +172,11 @@ def log_peak_density(d: int, kappa) -> np.ndarray:
     nu = d / 2.0 - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         y = ive(nu, kappa)
-        out = nu * np.log(kappa) - (d / 2.0) * _LOG_2PI - np.log(y)
+        base = nu * np.log(kappa) - (d / 2.0) * _LOG_2PI
+        out = base - np.log(y)
     out[kappa == 0.0] = math.lgamma(d / 2.0) - math.log(2.0) - (d / 2.0) * math.log(math.pi)
-    underflow = (kappa > 0.0) & (y < _TINY)
-    for i in np.flatnonzero(underflow):
-        out.flat[i] = log_normalizing_constant(d, kappa.flat[i]) + kappa.flat[i]
+    under = (kappa > 0.0) & (y < _TINY)
+    out[under] = base[under] - _log_iv_series(nu, kappa[under]) + kappa[under]
     return out
 
 

@@ -46,7 +46,7 @@ def mixture_from_dict(doc: dict) -> VmfMixture:
             params.append(VmfParams(mu=np.asarray(entry["mu"], dtype=np.float64),
                                     kappa=float(entry["kappa"])))
             weights.append(float(entry["weight"]))
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, OverflowError) as err:  # OverflowError: ints past float64
             raise ValueError(f"malformed component entry: {err}") from err
     m = VmfMixture(components=tuple(params), weights=np.asarray(weights))
     dim = doc.get("dim", m.d)
@@ -65,7 +65,7 @@ def read_mixture(path) -> VmfMixture:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:  # json recurses per nesting level
             raise ValueError(f"not valid JSON: {err}") from err
     return mixture_from_dict(doc)
 

@@ -81,79 +81,79 @@ def _merge_group(comps, weights, indices, cfg: BarycenterConfig):
 def greedy_reduce(m: VmfMixture, target_k: int, cfg: BarycenterConfig = BarycenterConfig()):
     """Iteratively merge the WL-closest pair until target_k components remain.
 
-    After each merge only the distances involving the new component are
-    recomputed. Exact ties on the minimal distance resolve to the smallest
-    (i, j) pair in lexicographic order.
+    One n x n buffer holds the distances (inf on the diagonal and for merged
+    slots), a vector each row's nearest one. A merge puts the new law in its
+    pair's first slot, computes that row and rescans only the rows whose
+    nearest was in the pair. Slots rank by birth (original index, then
+    n + step), which is live-list order. Exact ties on the minimal distance
+    go to the lexicographically smallest (i, j) pair of live positions.
     """
     if not 1 <= target_k < m.k:
         raise ValueError(f"target_k must be in [1, {m.k - 1}], got {target_k}")
+    n = m.k
     comps = list(m.components)
-    weights = list(m.weights)
-    dist = pairwise_matrix(comps).entries  # read-only; each merge rebuilds it
+    weights = np.array(m.weights)
+    mus = np.array([c.mu for c in comps])
+    kappas = np.array([c.kappa for c in comps])
+    dist = np.array(pairwise_matrix(comps).entries)
+    np.fill_diagonal(dist, np.inf)
+    near = dist.min(axis=1)
+    live = np.ones(n, dtype=bool)
+    birth = np.arange(n)
 
     events = []
-    while len(comps) > target_k:
-        n = len(comps)
-        iu, ju = np.triu_indices(n, k=1)
-        flat = dist[iu, ju]
-        best = float(flat.min())
-        hit = int(np.nonzero(flat == best)[0][0])  # triu order is lexicographic
-        i, j = int(iu[hit]), int(ju[hit])
-
+    for step in range(n - target_k):
+        i = _argbest(near, birth)
+        j = _argbest(dist[i], birth)  # so i precedes j in the live list
         params, weight = _merge_group(comps, weights, (i, j), cfg)
-        events.append(TraceEvent(merged=(i, j), result=params, weight=weight))
+        merged = tuple(int(np.count_nonzero(live & (birth < birth[s]))) for s in (i, j))
+        events.append(TraceEvent(merged=merged, result=params, weight=weight))
 
-        for idx in (j, i):  # descending, so positions stay valid
-            del comps[idx]
-            del weights[idx]
-        dist = np.delete(np.delete(dist, (i, j), axis=0), (i, j), axis=1)
-        rest = np.reshape([c.mu for c in comps], (-1, m.d))  # (0, d) when nothing is left
-        new_row = _wl_matrix(params.mu[None], np.array([params.kappa]),
-                             rest, np.array([c.kappa for c in comps]))[0]
-        comps.append(params)
-        weights.append(weight)
-        dist = np.pad(dist, ((0, 1), (0, 1)))
-        dist[-1, :-1] = new_row
-        dist[:-1, -1] = new_row
+        stale = live & ((dist[:, i] == near) | (dist[:, j] == near))  # includes i and j
+        live[j] = False
+        dist[j] = dist[:, j] = np.inf
+        comps[i], weights[i], mus[i], kappas[i] = params, weight, params.mu, params.kappa
+        birth[i] = n + step
+        # The live list without i: a BLAS product may round a row differently in another shape.
+        others = np.flatnonzero(live)[np.argsort(birth[live])][:-1]
+        dist[i, others] = dist[others, i] = _wl_matrix(
+            params.mu[None], np.array([params.kappa]), mus[others], kappas[others])[0]
+        near = np.minimum(near, dist[i])
+        near[stale] = dist[stale].min(axis=1)
 
-    reduced = VmfMixture(components=tuple(comps), weights=np.array(weights))
+    order = np.flatnonzero(live)[np.argsort(birth[live])]
+    reduced = VmfMixture(components=tuple(comps[s] for s in order), weights=weights[order])
     return reduced, ReductionTrace(events=tuple(events), method="greedy")
 
 
 def hclust_single_linkage(dm: DistanceMatrix, target_k: int) -> Partition:
     """Cut the single-linkage dendrogram of the distance matrix at target_k
     clusters. Ties on the minimal linkage resolve to the lexicographically
-    smallest pair of cluster ids (a cluster's id is its smallest member)."""
+    smallest pair of cluster ids (a cluster's id is its smallest member), as
+    np.argmin takes the first minimum. Merging b into a takes the elementwise
+    min of their rows of one n x n buffer (the Lance-Williams update), which
+    leaves every other row's nearest linkage as it was: O(n^2) in all.
+    """
     n = dm.n
     if not 1 <= target_k <= n:
         raise ValueError(f"target_k must be in [1, {n}], got {target_k}")
-    d = dm.entries
-    clusters = [[i] for i in range(n)]
-    while len(clusters) > target_k:
-        best = None
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                link = min(d[i, j] for i in clusters[a] for j in clusters[b])
-                key = (link, clusters[a][0], clusters[b][0])
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-        _, a, b = best
-        clusters[a] = sorted(clusters[a] + clusters[b])
-        del clusters[b]
-    assignment = np.empty(n, dtype=np.int64)
-    for label, members in enumerate(sorted(clusters, key=lambda c: c[0])):
-        assignment[members] = label
-    return Partition(assignment=_relabel_by_first_appearance(assignment))
+    link = np.array(dm.entries)
+    np.fill_diagonal(link, np.inf)
+    near = link.min(axis=1)
+    labels = np.arange(n)
+    for _ in range(n - target_k):
+        a = int(np.argmin(near))
+        b = int(np.argmin(link[a]))
+        link[a] = link[:, a] = np.minimum(link[a], link[b])
+        link[b] = link[:, b] = link[a, a] = near[b] = np.inf
+        near[a] = link[a].min()
+        labels[labels == b] = a
+    return Partition(assignment=_relabel_by_first_appearance(labels))
 
 
 def _relabel_by_first_appearance(assignment: np.ndarray) -> np.ndarray:
-    mapping = {}
-    out = np.empty_like(assignment)
-    for idx, lab in enumerate(assignment):
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[idx] = mapping[lab]
-    return out
+    _, first, inverse = np.unique(assignment, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def _argbest(values: np.ndarray, priority: np.ndarray) -> int:
@@ -229,27 +229,21 @@ def partitional_reduce(m: VmfMixture, target_k: int, method: str = "hclust",
         raise ValueError(f"target_k must be in [1, {m.k - 1}], got {target_k}")
     if method not in ("hclust", "kmedoids"):
         raise ValueError(f"unknown method {method!r}")
-    n = m.k
     dm = pairwise_matrix(m.components)
     if method == "hclust":
         part = hclust_single_linkage(dm, target_k)
     else:
         part = kmedoids(dm, target_k, seed=seed)
 
-    comps = list(m.components)
-    weights = list(m.weights)
+    a = part.assignment
     events = []
-    new_comps = []
-    new_weights = []
-    live = list(range(n))
     for label in range(part.n_clusters):
-        members = [i for i in range(n) if part.assignment[i] == label]
-        params, weight = _merge_group(comps, weights, members, cfg)
-        positions = tuple(live.index(i) for i in members)
+        members = np.flatnonzero(a == label).tolist()
+        params, weight = _merge_group(m.components, m.weights, members, cfg)
+        # The live list is the unmerged originals in order, then earlier results.
+        positions = tuple(np.flatnonzero(a[a >= label] == label).tolist())
         events.append(TraceEvent(merged=positions, result=params, weight=weight))
-        live = [i for i in live if i not in members] + [n + label]
-        new_comps.append(params)
-        new_weights.append(weight)
 
-    reduced = VmfMixture(components=tuple(new_comps), weights=np.array(new_weights))
+    reduced = VmfMixture(components=tuple(e.result for e in events),
+                         weights=np.array([e.weight for e in events]))
     return reduced, ReductionTrace(events=tuple(events), method=method)

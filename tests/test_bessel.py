@@ -5,15 +5,49 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import ive
+from scipy.special import gammaln, ive, logsumexp
 
-from vmfgeom.bessel import log_bessel_i, log_bessel_i_ratio, mean_resultant_ratio
+from vmfgeom.bessel import (_SERIES_BLOCK, _SERIES_TERMS, _log_iv_series, log_bessel_i,
+                            log_bessel_i_ratio, mean_resultant_ratio)
 
 mp.mp.dps = 50
 
 
 def mp_log_iv(nu: float, x: float) -> float:
     return float(mp.log(mp.besseli(mp.mpf(nu), mp.mpf(x))))
+
+
+def log_iv_series_scalar(nu: float, x: float) -> float:
+    """Reference: the power series for one argument, as one 1-d logsumexp."""
+    m = np.arange(_SERIES_TERMS)
+    log_terms = (2 * m + nu) * (math.log(x) - math.log(2.0)) \
+        - gammaln(m + 1.0) - gammaln(m + 1.0 + nu)
+    return float(logsumexp(log_terms))
+
+
+class TestSeriesOnArrays:
+    # Arguments where ive underflows, so log_bessel_i takes the series.
+    GRID = [(nu, float(x)) for nu in (0.5, 4.0, 53.5, 383.0, 499.0)
+            for x in np.geomspace(1e-300, 300.0, 200) if ive(nu, x) == 0.0]
+
+    def test_scalar_path_matches_reference_exactly(self):
+        assert len(self.GRID) > 300
+        # Where numpy's vectorised log rounds away from math.log (none on some CPUs).
+        x = np.geomspace(1e-300, 50.0, 200_001)  # ive(383, x) underflows below about 52
+        odd = [(383.0, float(v)) for v in x[np.log(x) != [math.log(v) for v in x]]]
+        for nu, x in self.GRID + odd:
+            want = log_iv_series_scalar(nu, x)
+            assert log_bessel_i(nu, x) == want
+            assert _log_iv_series(nu, x) == want
+
+    def test_array_path_matches_scalars(self):
+        # Across several blocks, at most numpy's log rounding (an ulp of log x) apart.
+        x = np.geomspace(1e-6, 150.0, 2 * _SERIES_BLOCK + 4)
+        got = _log_iv_series(383.0, x)
+        want = np.array([log_iv_series_scalar(383.0, v) for v in x])
+        assert got.shape == x.shape
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
+        assert np.array_equal(_log_iv_series(383.0, x.reshape(3, -1, 1)).ravel(), got)
 
 
 class TestLogBesselI:

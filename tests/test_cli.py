@@ -5,15 +5,24 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import vmfgeom
 from vmfgeom import VmfMixture, VmfParams, l2_distance
 from vmfgeom.cli import main
 from vmfgeom.formats import read_mixture, read_samples, write_mixture
 from vmfgeom.geometry import MAX_PAIRWISE_LAWS
+
+
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter on this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(vmfgeom.__file__))}
+    return subprocess.run([sys.executable, "-m", "vmfgeom.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 def write_single(path, mu, kappa):
@@ -86,9 +95,7 @@ class TestDist:
         doc = {"dim": dim, "components": [{"weight": 1.0, "mu": [1.0, 0.0], "kappa": 1.0}]}
         path = tmp_path / "dim.json"
         path.write_text(json.dumps(doc))
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(vmfgeom.__file__))}
-        run = subprocess.run([sys.executable, "-m", "vmfgeom.cli", "dist", str(path), str(path)],
-                             capture_output=True, text=True, env=env)
+        run = run_cli("dist", str(path), str(path))
         assert run.returncode == 2
         assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
 
@@ -153,6 +160,14 @@ class TestReduce:
         out = tmp_path / "x.json"
         assert main(["reduce", str(src), "--k", "2", "--method", method, "-o", str(out)]) == 2
         assert "pairwise limit" in capsys.readouterr().err and not out.exists()
+
+    def test_deeply_nested_json_exit_2(self, tmp_path):
+        src = tmp_path / "deep.json"
+        depth = 100_000
+        src.write_text('{"components": ' + "[" * depth + "]" * depth + "}")
+        run = run_cli("reduce", str(src), "--k", "1", "-o", str(tmp_path / "x.json"))
+        assert run.returncode == 2
+        assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
 
     def test_deterministic_bytes(self, tmp_path):
         src = self.mixture_file(tmp_path)
@@ -241,3 +256,46 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--scenario", "sim9", "--out", "/tmp/x"])
         assert exc.value.code == 2
+
+
+# Malformed mixture documents: wrong types, missing keys, non-finite and
+# out-of-range numbers, odd nesting, next to well-formed entries.
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**400, 10**400),
+                     st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8)
+_NUMBER = st.one_of(st.floats(1e-3, 1e3), _SCALARS, _JSON)
+_VECTOR = st.one_of(st.sampled_from([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [-1.0, 0.0],
+                                     [1.0, 0.0, 0.0]]), st.lists(_NUMBER, max_size=4), _JSON)
+_COMPONENT = st.one_of(st.fixed_dictionaries({}, optional={"mu": _VECTOR, "kappa": _NUMBER,
+                                                           "weight": _NUMBER}), _JSON)
+# Integers past float64's range once escaped as OverflowError.
+_HUGE_INT = {"components": [{"mu": [1.0, 0.0], "kappa": 10**400, "weight": 1.0}]}
+_MIXTURE = st.one_of(st.fixed_dictionaries({"components": st.lists(_COMPONENT, max_size=4)},
+                                           optional={"dim": _NUMBER}), _JSON)
+
+
+class TestMalformedMixtureFuzz:
+    @staticmethod
+    def exit_code(doc, command, *options):
+        """main's return code on the document; an exception escaping fails the test."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            inputs = {"reduce": [path, "--k", "1", "-o", os.path.join(tmp, "out.json")],
+                      "dist": [path, path]}[command]
+            return main([command, *inputs, *options])
+
+    @settings(max_examples=150)
+    @given(doc=_MIXTURE, method=st.sampled_from(["greedy", "hclust", "kmedoids"]))
+    @example(doc=_HUGE_INT, method="greedy")
+    def test_reduce_exit_codes(self, doc, method):
+        assert self.exit_code(doc, "reduce", "--method", method) in (0, 2, 3)
+
+    @settings(max_examples=150)
+    @given(doc=_MIXTURE, metric=st.sampled_from(["wl", "l2"]))
+    @example(doc={"components": [{"mu": [10**400, 0], "kappa": 1.0, "weight": 1.0}]}, metric="wl")
+    @example(doc=_HUGE_INT, metric="wl")
+    def test_dist_exit_codes(self, doc, metric):
+        assert self.exit_code(doc, "dist", "--metric", metric) in (0, 2, 3)

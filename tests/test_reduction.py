@@ -5,17 +5,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmfgeom import (DistanceMatrix, FitConfig, Partition,
                      VmfMixture, VmfParams, fit_em, geodesic_distance,
                      greedy_reduce, hclust_single_linkage, kmedoids,
                      pairwise_matrix, partitional_reduce, sample_mixture)
+from vmfgeom.barycenter import BarycenterConfig
 from vmfgeom.experiments import _derived_seed, sim2_truth
+from vmfgeom.geometry import _wl_matrix
+from vmfgeom.reduction import ReductionTrace, TraceEvent, _merge_group
 
 
 def mst_deletion_partition(d: np.ndarray, target_k: int) -> np.ndarray:
     """Oracle: Prim's minimum spanning tree, drop the target_k - 1 heaviest
-    edges, label connected components by smallest member."""
+    edges, label connected components by smallest member.
+
+    It matches single linkage only on matrices without ties: where equal
+    edges compete, Prim's edge order is not the (link, smaller id, larger
+    id) merge order (see test_tie_rule_beats_prim)."""
     n = d.shape[0]
     in_tree = [0]
     edges = []
@@ -49,6 +57,116 @@ def mst_deletion_partition(d: np.ndarray, target_k: int) -> np.ndarray:
             stack.extend(adj[u])
         next_label += 1
     return label
+
+
+def hclust_reference(d: np.ndarray, target_k: int) -> np.ndarray:
+    """Oracle: the cubic single-linkage loop, scanning every pair of
+    clusters for the smallest (link, smaller id, larger id) key."""
+    n = d.shape[0]
+    clusters = [[i] for i in range(n)]
+    while len(clusters) > target_k:
+        best = None
+        for a in range(len(clusters)):
+            for b in range(a + 1, len(clusters)):
+                link = min(d[i, j] for i in clusters[a] for j in clusters[b])
+                key = (link, clusters[a][0], clusters[b][0])
+                if best is None or key < best[0]:
+                    best = (key, a, b)
+        _, a, b = best
+        clusters[a] = sorted(clusters[a] + clusters[b])
+        del clusters[b]
+    assignment = np.empty(n, dtype=np.int64)
+    for label, members in enumerate(sorted(clusters)):  # by smallest member
+        assignment[members] = label
+    return assignment
+
+
+def greedy_reference(m: VmfMixture, target_k: int, cfg=BarycenterConfig()):
+    """Oracle: greedy merging on a live list, rebuilding the distance
+    matrix after every merge (triu scan, then np.delete and np.pad)."""
+    comps = list(m.components)
+    weights = list(m.weights)
+    dist = pairwise_matrix(comps).entries
+    events = []
+    while len(comps) > target_k:
+        iu, ju = np.triu_indices(len(comps), k=1)
+        flat = dist[iu, ju]
+        hit = int(np.nonzero(flat == flat.min())[0][0])  # triu order is lexicographic
+        i, j = int(iu[hit]), int(ju[hit])
+        params, weight = _merge_group(comps, weights, (i, j), cfg)
+        events.append(TraceEvent(merged=(i, j), result=params, weight=weight))
+        for idx in (j, i):
+            del comps[idx]
+            del weights[idx]
+        dist = np.delete(np.delete(dist, (i, j), axis=0), (i, j), axis=1)
+        rest = np.reshape([c.mu for c in comps], (-1, m.d))
+        new_row = _wl_matrix(params.mu[None], np.array([params.kappa]),
+                             rest, np.array([c.kappa for c in comps]))[0]
+        comps.append(params)
+        weights.append(weight)
+        dist = np.pad(dist, ((0, 1), (0, 1)))
+        dist[-1, :-1] = new_row
+        dist[:-1, -1] = new_row
+    reduced = VmfMixture(components=tuple(comps), weights=np.array(weights))
+    return reduced, ReductionTrace(events=tuple(events), method="greedy")
+
+
+def partition_positions_reference(assignment) -> list:
+    """Oracle: each cluster's trace positions, found by list.index on the
+    live list (unmerged originals, then the results appended in order)."""
+    n = len(assignment)
+    live = list(range(n))
+    out = []
+    for label in range(max(assignment) + 1):
+        members = [i for i in range(n) if assignment[i] == label]
+        out.append(tuple(live.index(i) for i in members))
+        live = [i for i in live if i not in members] + [n + label]
+    return out
+
+
+def assert_same_laws(got, want):
+    assert got.kappa == want.kappa
+    assert np.array_equal(got.mu, want.mu)
+
+
+def assert_same_reduction(got, want):
+    (got_m, got_t), (want_m, want_t) = got, want
+    assert np.array_equal(got_m.weights, want_m.weights)
+    for a, b in zip(got_m.components, want_m.components, strict=True):
+        assert_same_laws(a, b)
+    for a, b in zip(got_t.events, want_t.events, strict=True):
+        assert a.merged == b.merged and all(type(p) is int for p in a.merged)
+        assert a.weight == b.weight
+        assert_same_laws(a.result, b.result)
+
+
+@st.composite
+def tie_matrices(draw):
+    """Symmetric matrices with entries in {0, 0.5, 1, 1.5}: ties everywhere."""
+    n = draw(st.integers(1, 15))
+    upper = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+                          min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = upper
+    return d + d.T
+
+
+# Directions inside one orthant, so no merge meets antipodal laws.
+_POOL_MUS = ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+             [0.6, 0.8, 0.0], [0.0, 0.6, 0.8], [0.8, 0.0, 0.6])
+
+
+@st.composite
+def duplicated_mixtures(draw):
+    """n components drawn from at most n/2 distinct laws, so duplicates sit
+    at WL distance 0 and equal pool geometry makes more ties."""
+    n = draw(st.integers(2, 10))
+    laws = draw(st.lists(st.builds(VmfParams, mu=st.sampled_from(_POOL_MUS),
+                                   kappa=st.sampled_from([1.0, 4.0, 16.0])),
+                         min_size=1, max_size=n // 2))
+    picks = draw(st.lists(st.integers(0, len(laws) - 1), min_size=n, max_size=n))
+    weights = np.array(draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n, max_size=n)))
+    return VmfMixture(components=tuple(laws[p] for p in picks), weights=weights / weights.sum())
 
 
 def random_distance_matrix(rng, n):
@@ -170,6 +288,12 @@ class TestGreedyReduce:
             with pytest.raises(ValueError):
                 greedy_reduce(m, bad)
 
+    @settings(max_examples=300)
+    @given(duplicated_mixtures())
+    def test_matches_reference_under_ties(self, m):
+        for k in range(1, m.k):
+            assert_same_reduction(greedy_reduce(m, k), greedy_reference(m, k))
+
     def test_first_merges_all_intra_mode(self):
         # Ten components jittered around four well-separated modes: replaying
         # the trace, each of the first six merges must combine components
@@ -223,6 +347,27 @@ class TestSingleLinkage:
         mapping = {}
         for a, b in zip(got, want):
             assert mapping.setdefault(a, b) == b
+
+    @settings(max_examples=300)
+    @given(tie_matrices())
+    def test_matches_reference_under_ties(self, d):
+        dm = DistanceMatrix(entries=d)
+        for k in range(1, dm.n + 1):
+            got = hclust_single_linkage(dm, k).assignment
+            assert got.tolist() == hclust_reference(d, k).tolist()
+
+    def test_tie_rule_beats_prim(self):
+        # d(0,3) = d(1,2) = d(2,3) = 1, all else 2. Merging by (link, smaller
+        # id, larger id) joins {0,3}, then {0,3} with 2 (key (1, 0, 2) before
+        # (1, 1, 2)); Prim's tree cut at its heaviest edge keeps 1-2 instead.
+        d = np.full((4, 4), 2.0)
+        np.fill_diagonal(d, 0.0)
+        for i, j in ((0, 3), (1, 2), (2, 3)):
+            d[i, j] = d[j, i] = 1.0
+        got = hclust_single_linkage(DistanceMatrix(entries=d), 2).assignment
+        assert got.tolist() == [0, 1, 0, 0]
+        assert hclust_reference(d, 2).tolist() == [0, 1, 0, 0]
+        assert mst_deletion_partition(d, 2).tolist() == [0, 1, 1, 0]
 
     def test_target_out_of_range(self):
         dm = random_distance_matrix(np.random.default_rng(3), 5)
@@ -374,6 +519,16 @@ class TestPartitionalReduce:
         assert reduced.k == 3
         assert reduced.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert replay_trace(5, trace, m.weights) == 3
+
+    @given(duplicated_mixtures(), st.sampled_from(["hclust", "kmedoids"]))
+    def test_trace_positions_match_reference(self, m, method):
+        dm = pairwise_matrix(m.components)
+        for k in range(1, m.k):
+            part = (hclust_single_linkage(dm, k) if method == "hclust"
+                    else kmedoids(dm, k, seed=k))
+            _, trace = partitional_reduce(m, k, method=method, seed=k)
+            want = partition_positions_reference(part.assignment.tolist())
+            assert [e.merged for e in trace.events] == want
 
     def test_bad_inputs(self):
         m = four_mode_mixture()
