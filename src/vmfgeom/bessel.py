@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import gammaln, ive, logsumexp
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_TINY = np.finfo(np.float64).tiny
 
 # Number of terms in the small-argument power series branch. Chosen so the
 # series and log(ive)+x agree to ~1e-13 relative across the underflow seam
@@ -96,15 +97,26 @@ def log_bessel_i_ratio(nu: float, x: float) -> float:
     raise RuntimeError(f"Bessel ratio continued fraction stalled at nu={nu}, x={x}")
 
 
-def mean_resultant_ratio(d: int, kappa: float) -> float:
+def mean_resultant_ratio(d: int, kappa):
     """A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa), the mean resultant
-    length of a vMF law with concentration kappa in dimension d."""
+    length of a vMF law with concentration kappa in dimension d, elementwise
+    over an array of concentrations (a float gives a float).
+
+    The ratio of scipy's ive values, with Perron's continued fraction where
+    a value underflows (small kappa at high d) or the ratio is not finite.
+    Above kappa ~ 1.09e9, where ive stops, the continued fraction does not
+    converge either and RuntimeError is raised.
+    """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    return log_bessel_i_ratio(d / 2.0 - 1.0, kappa)
-
-
-def mean_resultant_ratio_derivative(d: int, kappa: float) -> float:
-    """dA_d/dkappa = 1 - A_d^2 - (d-1) A_d / kappa."""
-    a = mean_resultant_ratio(d, kappa)
-    return 1.0 - a * a - (d - 1.0) * a / kappa
+    x = np.asarray(kappa, dtype=np.float64)
+    flat = x.reshape(-1)
+    nu = d / 2.0 - 1.0
+    num = ive(nu + 1.0, flat)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / ive(nu, flat)
+    # I_{nu+1} < I_nu, so the numerator underflows first.
+    bad = (num < _TINY) | ~np.isfinite(out)
+    if bad.any():
+        out[bad] = [log_bessel_i_ratio(nu, v) for v in flat[bad]]
+    return out.reshape(x.shape) if x.ndim else float(out[0])

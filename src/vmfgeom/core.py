@@ -6,16 +6,15 @@ laws (kappa = 0 uniform, kappa = inf point mass) are unrepresentable here.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.special import ive
 
-from .bessel import _log_iv_series, log_bessel_i
+from .bessel import _TINY, _log_iv_series, log_bessel_i
 from .rng import substream
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_TINY = np.finfo(np.float64).tiny
 
 # Construction tolerates serialization round-off but rejects genuinely bad
 # input: vectors off unit norm (or weight sums off 1) by more than this
@@ -101,26 +100,30 @@ class VmfMixture:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """n unit-norm observations in R^d with optional integer labels."""
+    """n unit-norm observations in R^d with optional integer labels.
+
+    points are a read-only copy of the array given, except with _owned,
+    which a reader sets for a fresh array that nothing else holds: that
+    array itself is taken over and made read-only.
+    """
 
     points: np.ndarray
     labels: np.ndarray | None = field(default=None)
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] < 2:
             raise ValueError("points must be an n x d matrix with d >= 2")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        norms = np.linalg.norm(pts, axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))  # no n x d temporary
         if np.any(norms == 0.0) or np.any(np.abs(norms - 1.0) > _NORM_SLACK):
             raise ValueError("every row must have unit norm (within 1e-6)")
+        if not _owned:
+            pts = pts.copy()
         off = np.abs(norms - 1.0) > 1e-12  # idempotent renormalization
-        if off.any():
-            pts = pts.copy()
-            pts[off] /= norms[off, None]
-        else:
-            pts = pts.copy()
+        pts[off] /= norms[off, None]
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
@@ -176,7 +179,8 @@ def log_peak_density(d: int, kappa) -> np.ndarray:
         out = base - np.log(y)
     out[kappa == 0.0] = math.lgamma(d / 2.0) - math.log(2.0) - (d / 2.0) * math.log(math.pi)
     under = (kappa > 0.0) & (y < _TINY)
-    out[under] = base[under] - _log_iv_series(nu, kappa[under]) + kappa[under]
+    if under.any():
+        out[under] = base[under] - _log_iv_series(nu, kappa[under]) + kappa[under]
     return out
 
 

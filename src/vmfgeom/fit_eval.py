@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .bessel import mean_resultant_ratio, mean_resultant_ratio_derivative
-from .core import SampleSet, VmfMixture, VmfParams, log_normalizing_constant
+from .bessel import _TINY, mean_resultant_ratio
+from .core import SampleSet, VmfMixture, VmfParams, log_normalizing_constant, log_peak_density
 from .rng import substream
 
 
@@ -60,29 +60,39 @@ def kappa_mle(r_bar: float, d: int, kappa_cap: float = 1e12) -> float:
     """Concentration solving A_d(kappa) = r_bar for the observed mean
     resultant length.
 
-    Starts from the rational approximation r(d - r^2)/(1 - r^2) and refines
-    with at most 25 Newton steps on the continued-fraction Bessel ratio,
-    stopping at |A_d(kappa) - r_bar| < 1e-10 or at the cap.
+    Starts from the rational approximation r(d - r^2)/(1 - r^2) (Banerjee et
+    al. 2005) and refines with at most 25 Newton steps (Sra 2012), stopping
+    at |A_d(kappa) - r_bar| < 1e-10 or at the cap.
     """
     r_bar = float(r_bar)
     if not 0.0 < r_bar < 1.0:
         raise ValueError(f"r_bar must lie in (0, 1), got {r_bar}")
-    kappa = r_bar * (d - r_bar * r_bar) / (1.0 - r_bar * r_bar)
-    kappa = min(max(kappa, 1e-12), kappa_cap)
+    return float(_kappa_newton(np.array([r_bar]), d, kappa_cap)[0])
+
+
+def _kappa_newton(r_bar: np.ndarray, d: int, kappa_cap: float) -> np.ndarray:
+    """kappa_mle elementwise over an array of mean resultant lengths in
+    (0, 1). Each element keeps its own start, step count, stop and cap: the
+    Newton step runs only on the elements still moving."""
+    kappa = np.clip(r_bar * (d - r_bar * r_bar) / (1.0 - r_bar * r_bar), 1e-12, kappa_cap)
+    live = np.arange(kappa.size)
     for _ in range(25):
-        resid = mean_resultant_ratio(d, kappa) - r_bar
-        if abs(resid) < 1e-10:
+        a = mean_resultant_ratio(d, kappa[live])
+        resid = a - r_bar[live]
+        moving = np.abs(resid) >= 1e-10
+        live, a, resid = live[moving], a[moving], resid[moving]
+        if live.size == 0:
             break
-        step = resid / mean_resultant_ratio_derivative(d, kappa)
+        cur = kappa[live]
+        step = resid / (1.0 - a * a - (d - 1.0) * a / cur)
         # Newton can overshoot past zero near the origin; halve into range.
-        nxt = kappa - step
-        while nxt <= 0.0:
-            step *= 0.5
-            nxt = kappa - step
-        kappa = nxt
-        if kappa >= kappa_cap:
-            return kappa_cap
-    return min(kappa, kappa_cap)
+        nxt = cur - step
+        while (over := nxt <= 0.0).any():
+            step[over] *= 0.5
+            nxt[over] = cur[over] - step[over]
+        kappa[live] = np.minimum(nxt, kappa_cap)
+        live = live[nxt < kappa_cap]
+    return kappa
 
 
 def bic(log_likelihood: float, k: int, d: int, n: int) -> float:
@@ -93,8 +103,13 @@ def bic(log_likelihood: float, k: int, d: int, n: int) -> float:
 
 
 def _component_log_pdfs(points, mus, kappas, weights):
-    """n x k matrix of log(w_j f_j(x_i)), one matmul for all components."""
-    log_c = np.array([log_normalizing_constant(points.shape[1], k) for k in kappas])
+    """n x k matrix of log(w_j f_j(x_i)), one matmul for all components.
+    log C_d comes from one ive call for all k; the scalar path serves only
+    concentrations beyond ive's range (about 1.09e9)."""
+    d = points.shape[1]
+    log_c = log_peak_density(d, kappas) - kappas
+    beyond = ~np.isfinite(log_c)
+    log_c[beyond] = [log_normalizing_constant(d, k) for k in kappas[beyond]]
     return np.log(weights) + log_c + kappas * (points @ mus.T)
 
 
@@ -129,15 +144,15 @@ def _seed_directions(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return X[seeds]
 
 
-def _m_step_component(X, resp_k, n_k, d, kappa_cap):
-    resultant = resp_k @ X
-    norm = float(np.linalg.norm(resultant))
-    mu = resultant / norm
-    r_bar = min(max(norm / n_k, 1e-10), 1.0 - 1e-12)
-    return mu, kappa_mle(r_bar, d, kappa_cap)
-
-
 def _em_once(X: np.ndarray, cfg: FitConfig, rng: np.random.Generator):
+    """One EM restart from k-means++ seeds; each iteration is a few array
+    operations over all k components.
+
+    Responsibilities below the smallest normal float (tiny, about 2.2e-308)
+    are set to zero before the M-step's one resp.T @ X product, which runs
+    about nine times slower on subnormal operands. Since every |x_i| <= 1,
+    the flush moves each resultant coordinate by less than n * tiny.
+    """
     n, d = X.shape
     k = cfg.k
 
@@ -165,7 +180,8 @@ def _em_once(X: np.ndarray, cfg: FitConfig, rng: np.random.Generator):
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         logp = _component_log_pdfs(X, mus, kappas, weights)
-        lse = logsumexp(logp, axis=1)
+        top = logp.max(axis=1)
+        lse = top + np.log(np.exp(logp - top[:, None]).sum(axis=1))
         ll = float(lse.sum())
         history.append(ll)
         if math.isfinite(prev_ll) and abs(ll - prev_ll) <= cfg.tol * abs(ll):
@@ -175,16 +191,19 @@ def _em_once(X: np.ndarray, cfg: FitConfig, rng: np.random.Generator):
         resp = np.exp(logp - lse[:, None])
 
         n_eff = resp.sum(axis=0)
-        for j in range(k):
-            if n_eff[j] < 1.0:
-                # Starved component: restart it at the worst-explained point.
-                worst = int(np.argmin(resp.max(axis=1)))
-                mus[j] = X[worst]
-                weights[j] = 1.0 / n
-                reseeds += 1
-            else:
-                mus[j], kappas[j] = _m_step_component(X, resp[:, j], n_eff[j], d, cfg.kappa_cap)
-                weights[j] = n_eff[j] / n
+        resp[resp < _TINY] = 0.0
+        resultants = resp.T @ X
+        norms = np.linalg.norm(resultants, axis=1)
+        fed = n_eff >= 1.0
+        mus[fed] = resultants[fed] / norms[fed, None]
+        kappas[fed] = _kappa_newton(np.clip(norms[fed] / n_eff[fed], 1e-10, 1.0 - 1e-12),
+                                    d, cfg.kappa_cap)
+        weights[fed] = n_eff[fed] / n
+        if not fed.all():
+            # Starved components restart at the worst-explained point.
+            mus[~fed] = X[np.argmin(resp.max(axis=1))]
+            weights[~fed] = 1.0 / n
+            reseeds += int(np.count_nonzero(~fed))
         weights /= weights.sum()
 
     mixture = VmfMixture(

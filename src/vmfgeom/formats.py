@@ -43,9 +43,12 @@ def mixture_from_dict(doc: dict) -> VmfMixture:
     weights = []
     for entry in comps:
         try:
-            params.append(VmfParams(mu=np.asarray(entry["mu"], dtype=np.float64),
-                                    kappa=float(entry["kappa"])))
-            weights.append(float(entry["weight"]))
+            mu, kappa, weight = entry["mu"], entry["kappa"], entry["weight"]
+            numbers = [kappa, weight] + (mu if isinstance(mu, list) else [])
+            if any(isinstance(v, bool) for v in numbers):  # json reads true as 1
+                raise ValueError("component entry holds a boolean where a number belongs")
+            params.append(VmfParams(mu=np.asarray(mu, dtype=np.float64), kappa=float(kappa)))
+            weights.append(float(weight))
         except (KeyError, TypeError, OverflowError) as err:  # OverflowError: ints past float64
             raise ValueError(f"malformed component entry: {err}") from err
     m = VmfMixture(components=tuple(params), weights=np.asarray(weights))
@@ -97,9 +100,9 @@ def read_samples(path, header: bool = False) -> SampleSet:
     raw = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
     if raw.shape[0] == 0:
         raise ValueError("sample file is empty")
-    norms_all = np.linalg.norm(raw, axis=1)
+    norms_all = np.sqrt(np.einsum("ij,ij->i", raw, raw))  # no n x d temporary
     if np.all(np.abs(norms_all - 1.0) <= 1e-6):
-        return SampleSet(points=raw)
+        return SampleSet(points=raw, _owned=True)
     coords, last = raw[:, :-1], raw[:, -1]
     if raw.shape[1] >= 3 and np.all(last == np.round(last)) \
             and np.all(np.abs(np.linalg.norm(coords, axis=1) - 1.0) <= 1e-6):

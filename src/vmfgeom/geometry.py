@@ -116,10 +116,12 @@ def geodesic_distance(x, y) -> float:
 def _wl_matrix(mus_a, kappas_a, mus_b, kappas_b) -> np.ndarray:
     """m x n WL distances from (m, d) and (n, d) directions and (m,) and (n,)
     concentrations. The cosines are one BLAS product, which may round a pair
-    differently in other shapes: a few ulp off the scalar acos(<mu_p, mu_q>)."""
+    differently in other shapes: a few ulp off the scalar acos(<mu_p, mu_q>).
+    hypot does not square its arguments, so 1/sqrt(kappa) near 1e161 (kappa
+    down to 5e-324) gives a finite distance."""
     ang = np.arccos(np.clip(mus_a @ mus_b.T, -1.0, 1.0))
     ds = 1.0 / np.sqrt(kappas_a)[:, None] - 1.0 / np.sqrt(kappas_b)[None, :]
-    return np.sqrt(ang * ang + (mus_a.shape[1] - 1) * ds * ds)
+    return np.hypot(ang, math.sqrt(mus_a.shape[1] - 1) * ds)
 
 
 def wl_distance(p: VmfParams, q: VmfParams) -> float:

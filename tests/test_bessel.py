@@ -9,6 +9,8 @@ from scipy.special import gammaln, ive, logsumexp
 
 from vmfgeom.bessel import (_SERIES_BLOCK, _SERIES_TERMS, _log_iv_series, log_bessel_i,
                             log_bessel_i_ratio, mean_resultant_ratio)
+from vmfgeom.core import log_normalizing_constant, log_peak_density
+from vmfgeom.fit_eval import kappa_mle
 
 mp.mp.dps = 50
 
@@ -108,3 +110,54 @@ class TestRatio:
             log_bessel_i_ratio(1.0, 0.0)
         with pytest.raises(ValueError):
             mean_resultant_ratio(1, 1.0)
+
+
+class TestRangeGrid:
+    """A_d, kappa_mle and log C_d against mpmath over the whole supported
+    range: d in {2, 3, 10, 100, 768}, kappa log-spaced over [1e-6, 1e8]."""
+
+    KAPPAS = np.geomspace(1e-6, 1e8, 29)
+
+    @pytest.fixture(scope="class", params=[2, 3, 10, 100, 768])
+    def oracle(self, request):
+        """(d, A_d, dA_d/dkappa, log C_d, log C_d + kappa) at every grid
+        kappa, to 40 digits."""
+        d = request.param
+        nu = mp.mpf(d) / 2 - 1
+        a, slope, log_c, peak = [], [], [], []
+        with mp.workdps(40):
+            for k in self.KAPPAS:
+                x = mp.mpf(float(k))
+                i0 = mp.besseli(nu, x)
+                ratio = mp.besseli(nu + 1, x) / i0
+                a.append(float(ratio))
+                slope.append(float(1 - ratio ** 2 - (d - 1) * ratio / x))
+                log_c.append(nu * mp.log(x) - mp.mpf(d) / 2 * mp.log(2 * mp.pi) - mp.log(i0))
+                peak.append(float(log_c[-1] + x))
+        return d, np.array(a), np.array(slope), np.array(log_c, dtype=float), np.array(peak)
+
+    def test_mean_resultant_ratio(self, oracle):
+        # 1e-12: scipy's ive ratio is within 2e-13 of mpmath at order 383.
+        d, want, _, _, _ = oracle
+        got = mean_resultant_ratio(d, self.KAPPAS)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.diff(got) > 0.0)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        assert [mean_resultant_ratio(d, float(k)) for k in self.KAPPAS] == list(got)
+
+    def test_kappa_mle_round_trip(self, oracle):
+        # Newton stops at |A_d(kappa) - r| < 1e-10, which leaves kappa within
+        # about 1e-10 / A_d'(kappa) of the root; twice that is allowed.
+        d, a, slope, _, _ = oracle
+        got = np.array([kappa_mle(r, d) for r in a])
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - self.KAPPAS) <= 2e-10 / slope)
+
+    def test_log_normalizing_constant(self, oracle):
+        # Relative to max(|log C_d|, 1): log C_d crosses zero inside the grid.
+        d, _, _, want, want_peak = oracle
+        got = np.array([log_normalizing_constant(d, float(k)) for k in self.KAPPAS])
+        peak = log_peak_density(d, self.KAPPAS)
+        assert np.all(np.isfinite(got)) and np.all(np.isfinite(peak))
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
+        assert np.all(np.abs(peak - want_peak) <= 1e-14 * np.maximum(np.abs(want_peak), 1.0))

@@ -99,6 +99,14 @@ class TestDist:
         assert run.returncode == 2
         assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
 
+    def test_boolean_component_fields_exit_2(self, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text('{"components":[{"weight":true,"mu":[true,false],"kappa":true}]}')
+        run = run_cli("dist", str(path), str(path))
+        assert run.returncode == 2
+        assert run.stderr.startswith("error:") and "boolean" in run.stderr
+        assert run.stdout == ""
+
 
 class TestBarycenter:
     def test_writes_single_component(self, tmp_path):

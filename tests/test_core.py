@@ -217,3 +217,18 @@ class TestSampleSet:
     def test_labels_length_checked(self):
         with pytest.raises(ValueError):
             SampleSet(points=np.eye(3), labels=np.array([0, 1]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-9])  # as given, and renormalized
+    def test_caller_array_stays_independent(self, scale):
+        pts = np.array([[0.6, 0.8], [1.0, 0.0]]) * scale
+        s = SampleSet(points=pts)
+        kept = s.points.copy()
+        pts[:] = [[0.0, 1.0], [0.0, -1.0]]
+        assert np.array_equal(s.points, kept)
+        assert pts.flags.writeable
+
+    def test_points_read_only(self):
+        s = SampleSet(points=np.eye(3))
+        assert not s.points.flags.writeable
+        with pytest.raises(ValueError):
+            s.points[0, 0] = 0.5

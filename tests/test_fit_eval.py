@@ -6,14 +6,118 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import ive
+from scipy.special import ive, logsumexp
 
-from vmfgeom import (DistanceMatrix, FitConfig, SampleSet, VmfParams, bic, fit_em, kappa_mle, knn_predict,
-                     mds_embed, mixture_log_likelihood, sample,
-                     sample_mixture, geodesic_distance)
+from vmfgeom import (DistanceMatrix, FitConfig, SampleSet, VmfMixture, VmfParams, bic, fit_em,
+                     kappa_mle, knn_predict, log_normalizing_constant, mds_embed,
+                     mean_resultant_ratio, mixture_log_likelihood, sample, sample_mixture,
+                     geodesic_distance)
 from vmfgeom.experiments import SIM2_N, _derived_seed, sim2_truth
+from vmfgeom.fit_eval import _em_once, _kappa_newton, _seed_directions
+from vmfgeom.rng import substream
 
 mp.mp.dps = 40
+
+
+def kappa_mle_reference(r_bar, d, kappa_cap):
+    """The scalar Newton loop, one concentration at a time."""
+    kappa = min(max(r_bar * (d - r_bar * r_bar) / (1.0 - r_bar * r_bar), 1e-12), kappa_cap)
+    for _ in range(25):
+        a = mean_resultant_ratio(d, kappa)
+        resid = a - r_bar
+        if abs(resid) < 1e-10:
+            break
+        step = resid / (1.0 - a * a - (d - 1.0) * a / kappa)
+        nxt = kappa - step
+        while nxt <= 0.0:
+            step *= 0.5
+            nxt = kappa - step
+        kappa = nxt
+        if kappa >= kappa_cap:
+            return kappa_cap
+    return min(kappa, kappa_cap)
+
+
+def em_reference(X, cfg, rng):
+    """EM one component at a time: a resultant per column of unflushed
+    responsibilities, scalar log C_d and kappa, scipy's logsumexp.
+    Returns (log-likelihood, iterations, converged, reseeds, subnormals)."""
+    n, d = X.shape
+    k = cfg.k
+    seeds = _seed_directions(X, k, rng)
+    assign = np.argmax(X @ seeds.T, axis=1)
+    mus, kappas, weights = np.empty((k, d)), np.empty(k), np.empty(k)
+    for j in range(k):
+        members = np.nonzero(assign == j)[0]
+        if members.size == 0:
+            members = np.array([int(rng.integers(n))])
+        resultant = X[members].sum(axis=0)
+        norm = float(np.linalg.norm(resultant))
+        mus[j] = resultant / norm if norm > 0 else seeds[j]
+        r_bar = min(max(norm / members.size, 1e-10), 1.0 - 1e-12) if norm > 0 else 0.5
+        kappas[j] = kappa_mle_reference(r_bar, d, cfg.kappa_cap)
+        weights[j] = members.size / n
+    weights /= weights.sum()
+    prev_ll, reseeds, subnormals, converged = -math.inf, 0, 0, False
+    for iterations in range(1, cfg.max_iters + 1):
+        log_c = np.array([log_normalizing_constant(d, kap) for kap in kappas])
+        logp = np.log(weights) + log_c + kappas * (X @ mus.T)
+        lse = logsumexp(logp, axis=1)
+        ll = float(lse.sum())
+        if math.isfinite(prev_ll) and abs(ll - prev_ll) <= cfg.tol * abs(ll):
+            converged = True
+            break
+        prev_ll = ll
+        resp = np.exp(logp - lse[:, None])
+        subnormals += int(np.count_nonzero((resp > 0.0) & (resp < np.finfo(float).tiny)))
+        n_eff = resp.sum(axis=0)
+        for j in range(k):
+            if n_eff[j] < 1.0:
+                mus[j] = X[int(np.argmin(resp.max(axis=1)))]
+                weights[j] = 1.0 / n
+                reseeds += 1
+            else:
+                resultant = resp[:, j] @ X
+                norm = float(np.linalg.norm(resultant))
+                mus[j] = resultant / norm
+                kappas[j] = kappa_mle_reference(min(max(norm / n_eff[j], 1e-10), 1.0 - 1e-12),
+                                                d, cfg.kappa_cap)
+                weights[j] = n_eff[j] / n
+        weights /= weights.sum()
+    mixture = VmfMixture(components=tuple(VmfParams(mu=m, kappa=c) for m, c in zip(mus, kappas)),
+                         weights=weights)
+    return mixture_log_likelihood(mixture, X), iterations, converged, reseeds, subnormals
+
+
+class TestArrayEm:
+    def test_newton_matches_scalar_loop(self):
+        # Bit for bit: each element takes the scalar loop's steps, stop and cap.
+        # Targets up to 1e8; beyond about 1e9 neither ive nor the continued
+        # fraction gives A_d.
+        for d in (2, 3, 768):
+            r = mean_resultant_ratio(d, np.geomspace(1e-6, 1e8, 60))
+            for cap in (1e5, 1e12):
+                want = [kappa_mle_reference(float(v), d, cap) for v in r]
+                assert np.array_equal(_kappa_newton(r, d, cap), want)
+                assert [kappa_mle(float(v), d, cap) for v in r] == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_em_matches_component_loop(self, seed):
+        # Four orthogonal modes at kappa = 720 in R^5: log-densities of other
+        # modes sit about 720 below, so some responsibilities are subnormal
+        # and the flush before resp.T @ X is exercised.
+        truth = VmfMixture(components=tuple(VmfParams(mu=m, kappa=720.0) for m in np.eye(5)[:4]),
+                           weights=np.full(4, 0.25))
+        X = sample_mixture(truth, 600, seed=seed).points
+        subnormals = 0
+        for k in (2, 4, 6):
+            cfg = FitConfig(k=k, restarts=1, seed=seed)
+            _, ll, iterations, converged, reseeds, _ = _em_once(X, cfg, substream(seed, "em", k))
+            want = em_reference(X, cfg, substream(seed, "em", k))
+            assert ll == pytest.approx(want[0], rel=1e-12)
+            assert (iterations, converged, reseeds) == want[1:4]
+            subnormals += want[4]
+        assert subnormals > 1000
 
 
 class TestKappaMle:

@@ -2,12 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vmfgeom import (DistanceMatrix, SampleSet, VmfMixture, VmfParams,
-                     greedy_reduce, pairwise_matrix)
+                     greedy_reduce, pairwise_matrix, sample)
 from vmfgeom.formats import (mixture_from_dict, mixture_to_dict,
                              read_distance_matrix, read_mixture, read_samples,
                              single_component, write_distance_matrix,
@@ -48,6 +49,14 @@ class TestMixtureJson:
         doc = mixture_to_dict(a_mixture())
         doc["dim"] = dim
         with pytest.raises(ValueError, match="declared dim"):
+            mixture_from_dict(doc)
+
+    @pytest.mark.parametrize("field,value", [("weight", True), ("kappa", True), ("mu", [True, False]),
+                                             ("mu", [0.0, False, 1.0])])
+    def test_booleans_are_not_numbers(self, field, value):
+        doc = mixture_to_dict(a_mixture())
+        doc["components"][0][field] = value
+        with pytest.raises(ValueError, match="boolean"):
             mixture_from_dict(doc)
 
     def test_dim_optional(self):
@@ -101,6 +110,22 @@ class TestSampleCsv:
         assert text[0] == "x0,x1,label"
         back = read_samples(path, header=True)
         assert back.labels[0] == 3
+
+    def test_read_points_read_only_and_copied_once(self, tmp_path):
+        pts = sample(VmfParams(mu=np.eye(64)[0], kappa=50.0), 2000, seed=4).points
+        path = tmp_path / "s.csv"
+        write_samples(path, SampleSet(points=pts))
+        tracemalloc.start()
+        try:
+            s = read_samples(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(s.points, pts)
+        assert not s.points.flags.writeable
+        # The parsed array itself becomes the sample's points: no second copy
+        # and no n x d temporary (the parser's own buffers stay well below).
+        assert peak < 1.5 * pts.nbytes
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "g.csv"

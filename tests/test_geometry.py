@@ -63,6 +63,16 @@ class TestWlDistance:
         assert wl_distance(p, q) == pytest.approx(want, abs=1e-12)
         assert wl_distance(p, q) == pytest.approx(1.7226146116506558, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 768])
+    def test_finite_at_the_smallest_concentration(self, d):
+        # (1/sqrt(5e-324) - 1)^2 overflows float64; the distance, about
+        # 4.5e161 sqrt(d - 1), does not.
+        p = VmfParams(mu=np.eye(d)[0], kappa=5e-324)
+        q = VmfParams(mu=np.eye(d)[0], kappa=1.0)
+        want = math.sqrt(d - 1) * (1.0 / math.sqrt(5e-324) - 1.0)
+        assert wl_distance(p, q) == pytest.approx(want, rel=1e-15)
+        assert pairwise_matrix([p, q], "wl").entries[0, 1] == pytest.approx(want, rel=1e-15)
+
     def test_high_concentration_reduces_to_geodesic(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
