@@ -103,9 +103,10 @@ def mean_resultant_ratio(d: int, kappa):
     over an array of concentrations (a float gives a float).
 
     The ratio of scipy's ive values, with Perron's continued fraction where
-    a value underflows (small kappa at high d) or the ratio is not finite.
-    Above kappa ~ 1.09e9, where ive stops, the continued fraction does not
-    converge either and RuntimeError is raised.
+    the numerator underflows (small kappa at high d). Above kappa ~ 1.09e9,
+    where ive stops, the large-argument expansion
+    1 - (d-1)/(2 kappa) + (d-1)(d-3)/(8 kappa^2), whose next term is below
+    1e-16 there for d up to about 1000.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
@@ -115,8 +116,12 @@ def mean_resultant_ratio(d: int, kappa):
     num = ive(nu + 1.0, flat)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / ive(nu, flat)
-    # I_{nu+1} < I_nu, so the numerator underflows first.
-    bad = (num < _TINY) | ~np.isfinite(out)
-    if bad.any():
-        out[bad] = [log_bessel_i_ratio(nu, v) for v in flat[bad]]
+    # I_{nu+1} < I_nu, so the numerator underflows first. The continued
+    # fraction also rejects a kappa that is not finite and > 0.
+    frac = (num < _TINY) | ~((flat > 0.0) & (flat < np.inf))
+    big = ~np.isfinite(out) & ~frac
+    kb = flat[big]
+    out[big] = 1.0 - (d - 1.0) / (2.0 * kb) + (d - 1.0) * (d - 3.0) / (8.0 * kb) / kb
+    if frac.any():
+        out[frac] = [log_bessel_i_ratio(nu, v) for v in flat[frac]]
     return out.reshape(x.shape) if x.ndim else float(out[0])

@@ -103,14 +103,18 @@ def bic(log_likelihood: float, k: int, d: int, n: int) -> float:
 
 
 def _component_log_pdfs(points, mus, kappas, weights):
-    """n x k matrix of log(w_j f_j(x_i)), one matmul for all components.
-    log C_d comes from one ive call for all k; the scalar path serves only
+    """n x k matrix of log(w_j f_j(x_i)), one matmul for all components, or
+    r such matrices for r stacked mixtures ((r, k, d) means). log C_d comes
+    from one ive call for all components; the scalar path serves only
     concentrations beyond ive's range (about 1.09e9)."""
     d = points.shape[1]
     log_c = log_peak_density(d, kappas) - kappas
     beyond = ~np.isfinite(log_c)
     log_c[beyond] = [log_normalizing_constant(d, k) for k in kappas[beyond]]
-    return np.log(weights) + log_c + kappas * (points @ mus.T)
+    out = points @ np.swapaxes(mus, -1, -2)
+    out *= kappas[..., None, :]
+    out += (np.log(weights) + log_c)[..., None, :]
+    return out
 
 
 def mixture_log_pdf(m: VmfMixture, points: np.ndarray) -> np.ndarray:
@@ -144,23 +148,15 @@ def _seed_directions(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return X[seeds]
 
 
-def _em_once(X: np.ndarray, cfg: FitConfig, rng: np.random.Generator):
-    """One EM restart from k-means++ seeds; each iteration is a few array
-    operations over all k components.
+_EM_BLOCK = 1 << 18  # elements per block of restarts, at (n + d) k each: 2 MB arrays
 
-    Responsibilities below the smallest normal float (tiny, about 2.2e-308)
-    are set to zero before the M-step's one resp.T @ X product, which runs
-    about nine times slower on subnormal operands. Since every |x_i| <= 1,
-    the flush moves each resultant coordinate by less than n * tiny.
-    """
+
+def _em_start(X: np.ndarray, k: int, kappa_cap: float, rng: np.random.Generator):
+    """One restart's initial (mus, kappas, weights) from k-means++ seeds."""
     n, d = X.shape
-    k = cfg.k
-
     seeds = _seed_directions(X, k, rng)
     assign = np.argmax(X @ seeds.T, axis=1)
-    mus = np.empty((k, d))
-    kappas = np.empty(k)
-    weights = np.empty(k)
+    mus, kappas, weights = np.empty((k, d)), np.empty(k), np.empty(k)
     for j in range(k):
         members = np.nonzero(assign == j)[0]
         if members.size == 0:
@@ -169,60 +165,89 @@ def _em_once(X: np.ndarray, cfg: FitConfig, rng: np.random.Generator):
         norm = float(np.linalg.norm(resultant))
         mus[j] = resultant / norm if norm > 0 else seeds[j]
         r_bar = min(max(norm / members.size, 1e-10), 1.0 - 1e-12) if norm > 0 else 0.5
-        kappas[j] = kappa_mle(r_bar, d, cfg.kappa_cap)
+        kappas[j] = kappa_mle(r_bar, d, kappa_cap)
         weights[j] = members.size / n
+    return mus, kappas, weights / weights.sum()
 
-    weights /= weights.sum()
-    prev_ll = -math.inf
-    history = []
-    reseeds = 0
-    converged = False
+
+def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
+    """EM restarts advanced together; a (mixture, log-likelihood, iterations,
+    converged, reseeds, history) tuple per restart, in order.
+
+    The restarts still iterating stack along the first axis of every array,
+    and a restart leaves when it converges. Each matmul and sum has the shape
+    and axis one restart alone would use, so each result is bit-identical to
+    a restart run on its own. Responsibilities below the smallest normal
+    float (tiny) are zeroed before the resp.T @ X products, which run about
+    nine times slower on subnormals; as |x_i| <= 1, that moves each
+    resultant coordinate by less than n * tiny.
+    """
+    n, d = X.shape
+    mus, kappas, weights = map(np.stack, zip(*(
+        _em_start(X, cfg.k, cfg.kappa_cap, substream(cfg.seed, "em-restart", r)) for r in restarts)))
+    live = np.arange(len(restarts))  # block positions of the restarts still iterating
+    prev_ll, reseeds = np.full(live.size, -np.inf), np.zeros(live.size, dtype=np.int64)
+    history, out = [[] for _ in live], [None] * live.size
     iterations = 0
+
+    def leave(done, converged):
+        for p, m, c, w in zip(live[done], mus[done], kappas[done], weights[done]):
+            mixture = VmfMixture(components=tuple(map(VmfParams, m, c)), weights=w)
+            # Scored as returned: one M-step past the last history entry at max_iters.
+            ll = mixture_log_likelihood(mixture, X)
+            if not converged:
+                history[p].append(ll)
+            out[p] = (mixture, ll, iterations, converged, int(reseeds[p]), tuple(history[p]))
+
     for iterations in range(1, cfg.max_iters + 1):
         logp = _component_log_pdfs(X, mus, kappas, weights)
-        top = logp.max(axis=1)
-        lse = top + np.log(np.exp(logp - top[:, None]).sum(axis=1))
-        ll = float(lse.sum())
-        history.append(ll)
-        if math.isfinite(prev_ll) and abs(ll - prev_ll) <= cfg.tol * abs(ll):
-            converged = True
-            break
+        top = logp[..., 0]
+        for j in range(1, cfg.k):  # exact, and faster than max(axis=2) on a short axis
+            top = np.maximum(top, logp[..., j])
+        shifted = logp - top[..., None]
+        lse = top + np.log(np.exp(shifted, out=shifted).sum(axis=2))
+        ll = lse.sum(axis=1)
+        for p, v in zip(live, ll.tolist()):
+            history[p].append(v)
+        done = np.isfinite(prev_ll) & (np.abs(ll - prev_ll) <= cfg.tol * np.abs(ll))
+        leave(done, True)
         prev_ll = ll
-        resp = np.exp(logp - lse[:, None])
+        logp -= lse[..., None]
+        resp = np.exp(logp, out=logp)
 
-        n_eff = resp.sum(axis=0)
+        n_eff = resp.sum(axis=1)
         resp[resp < _TINY] = 0.0
-        resultants = resp.T @ X
-        norms = np.linalg.norm(resultants, axis=1)
+        resultants = np.swapaxes(resp, 1, 2) @ X
+        norms = np.linalg.norm(resultants, axis=2)
         fed = n_eff >= 1.0
         mus[fed] = resultants[fed] / norms[fed, None]
         kappas[fed] = _kappa_newton(np.clip(norms[fed] / n_eff[fed], 1e-10, 1.0 - 1e-12),
                                     d, cfg.kappa_cap)
         weights[fed] = n_eff[fed] / n
         if not fed.all():
-            # Starved components restart at the worst-explained point.
-            mus[~fed] = X[np.argmin(resp.max(axis=1))]
+            # Starved components restart at their restart's worst-explained point.
+            worst = np.argmin(resp.max(axis=2), axis=1)
+            mus[~fed] = X[np.broadcast_to(worst[:, None], fed.shape)[~fed]]
             weights[~fed] = 1.0 / n
-            reseeds += int(np.count_nonzero(~fed))
-        weights /= weights.sum()
-
-    mixture = VmfMixture(
-        components=tuple(VmfParams(mu=mus[j], kappa=kappas[j]) for j in range(k)),
-        weights=weights)
-    # Score the mixture returned: a restart stopped at max_iters has taken
-    # one more M-step than its last history entry.
-    ll = mixture_log_likelihood(mixture, X)
-    if not converged:
-        history.append(ll)
-    return mixture, ll, iterations, converged, reseeds, tuple(history)
+            reseeds[live] += np.count_nonzero(~fed, axis=1)
+        weights /= weights.sum(axis=1, keepdims=True)
+        del logp, resp, shifted  # free the n x k arrays before the next E-step
+        # The converged restarts leave only now: their M-step above is discarded.
+        live, prev_ll, mus, kappas, weights = (
+            v[~done] for v in (live, prev_ll, mus, kappas, weights))
+        if live.size == 0:
+            break
+    leave(np.ones(live.size, dtype=bool), False)
+    return out
 
 
 def fit_em(data: SampleSet, cfg: FitConfig) -> FitResult:
     """Best-of-restarts EM fit of a k-component vMF mixture.
 
-    Each restart reseeds the initializer from its own derived stream; the
-    run with the highest final log-likelihood wins. Non-convergence within
-    max_iters is reported through the converged flag, not raised.
+    Each restart seeds the initializer from its own derived stream. The
+    restarts advance together in blocks of bounded size, each leaving its
+    block when it converges; the first with the highest final log-likelihood
+    wins. Non-convergence within max_iters is reported, not raised.
     """
     X = data.points
     if X.shape[0] == 0:
@@ -230,12 +255,12 @@ def fit_em(data: SampleSet, cfg: FitConfig) -> FitResult:
     if cfg.k >= X.shape[0]:
         raise ValueError(f"need more observations than components ({cfg.k} >= {X.shape[0]})")
 
+    size = max(1, _EM_BLOCK // (sum(X.shape) * cfg.k))
     best = None
-    for r in range(cfg.restarts):
-        rng = substream(cfg.seed, "em-restart", r)
-        result = _em_once(X, cfg, rng)
-        if best is None or result[1] > best[1]:
-            best = result
+    for first in range(0, cfg.restarts, size):
+        for result in _em_restarts(X, cfg, range(first, min(first + size, cfg.restarts))):
+            if best is None or result[1] > best[1]:
+                best = result
     mixture, ll, iterations, converged, reseeds, history = best
     score = bic(ll, cfg.k, data.d, data.n)
     return FitResult(mixture=mixture, log_likelihood=ll, bic=score,

@@ -103,10 +103,11 @@ def read_samples(path, header: bool = False) -> SampleSet:
     norms_all = np.sqrt(np.einsum("ij,ij->i", raw, raw))  # no n x d temporary
     if np.all(np.abs(norms_all - 1.0) <= 1e-6):
         return SampleSet(points=raw, _owned=True)
+    # The labelled points stay a view of the parsed array, rows d + 1 apart.
     coords, last = raw[:, :-1], raw[:, -1]
     if raw.shape[1] >= 3 and np.all(last == np.round(last)) \
-            and np.all(np.abs(np.linalg.norm(coords, axis=1) - 1.0) <= 1e-6):
-        return SampleSet(points=coords, labels=last.astype(np.int64))
+            and np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", coords, coords)) - 1.0) <= 1e-6):
+        return SampleSet(points=coords, labels=last.astype(np.int64), _owned=True)
     raise ValueError("rows are not unit-norm, with or without a trailing label column")
 
 

@@ -11,6 +11,7 @@ from vmfgeom.bessel import (_SERIES_BLOCK, _SERIES_TERMS, _log_iv_series, log_be
                             log_bessel_i_ratio, mean_resultant_ratio)
 from vmfgeom.core import log_normalizing_constant, log_peak_density
 from vmfgeom.fit_eval import kappa_mle
+from vmfgeom.geometry import _l2_matrix
 
 mp.mp.dps = 50
 
@@ -113,8 +114,9 @@ class TestRatio:
 
 
 class TestRangeGrid:
-    """A_d, kappa_mle and log C_d against mpmath over the whole supported
-    range: d in {2, 3, 10, 100, 768}, kappa log-spaced over [1e-6, 1e8]."""
+    """A_d, kappa_mle, log C_d and exact L2 against mpmath over the whole
+    supported range: d in {2, 3, 10, 100, 768}, kappa log-spaced over
+    [1e-6, 1e8]."""
 
     KAPPAS = np.geomspace(1e-6, 1e8, 29)
 
@@ -161,3 +163,65 @@ class TestRangeGrid:
         assert np.all(np.isfinite(got)) and np.all(np.isfinite(peak))
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
         assert np.all(np.abs(peak - want_peak) <= 1e-14 * np.maximum(np.abs(want_peak), 1.0))
+
+    def test_l2_matrix(self, oracle):
+        # Closed form: L2^2 = int f_p^2 + int f_q^2 - 2 C(k_p) C(k_q) / C(|k_p mu_p + k_q mu_q|)
+        # with int f^2 = C(k)^2 / C(2 k). The kernel's absolute error bound is
+        # a small multiple of eps (d + k_p + k_q)(int f_p^2 + int f_q^2); the
+        # worst grid case uses 13 of the 32 allowed.
+        d = oracle[0]
+
+        def log_c(k):
+            nu = mp.mpf(d) / 2 - 1
+            if k == 0:
+                return mp.loggamma(mp.mpf(d) / 2) - mp.log(2) - mp.mpf(d) / 2 * mp.log(mp.pi)
+            return nu * mp.log(k) - mp.mpf(d) / 2 * mp.log(2 * mp.pi) - mp.log(mp.besseli(nu, k))
+
+        checked = raised = 0
+        with mp.workdps(40):
+            for kp, kq, theta in [(k, k * ratio, theta) for k in self.KAPPAS for ratio in (1.0, 3.0)
+                                  for theta in (0.0, 1e-3, 1.0, math.pi)]:
+                mus = np.zeros((2, d))
+                mus[0, 0], mus[1, 0], mus[1, 1] = 1.0, math.cos(theta), math.sin(theta)
+                p, q = mp.mpf(float(kp)), mp.mpf(float(kq))
+                own = mp.exp(2 * log_c(p) - log_c(2 * p)) + mp.exp(2 * log_c(q) - log_c(2 * q))
+                res = mp.sqrt(p * p + q * q + 2 * p * q * mp.cos(theta))
+                want = own - 2 * mp.exp(log_c(p) + log_c(q) - log_c(res))
+                try:
+                    got = _l2_matrix(mus, np.array([kp, kq]))
+                except ValueError:
+                    assert mp.sqrt(want) > np.finfo(float).max
+                    raised += 1
+                    continue
+                assert got[0, 1] == got[1, 0] and got[0, 0] == 0.0
+                bound = 32 * np.finfo(float).eps * (d + kp + kq) * own
+                assert abs(mp.mpf(float(got[0, 1])) ** 2 - want) <= bound
+                checked += 1
+        # At d = 768 the densities' L2 norms overflow, so only laws that
+        # nearly coincide (here the smallest kappas) get a distance.
+        assert checked > 0 and (raised > 0) == (d == 768)
+        # Identical laws give exactly 0; a resultant past ive's range raises.
+        assert _l2_matrix(np.eye(d)[[0, 0]], np.array([5.0, 5.0]))[0, 1] == 0.0
+        with pytest.raises(ValueError):
+            _l2_matrix(np.stack([np.eye(d)[0], np.eye(d)[0] * math.cos(0.1) + np.eye(d)[1]
+                                 * math.sin(0.1)]), np.array([6e8, 6e8]))
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 100, 768])
+    def test_mean_resultant_ratio_beyond_ive(self, d):
+        # Above kappa ~ 1.09e9 ive returns NaN; the large-argument expansion
+        # takes over, within one rounding of mpmath.
+        kappas = np.array([1.2e9, 1e10, 1e12])
+        got = mean_resultant_ratio(d, kappas)
+        nu = mp.mpf(d) / 2 - 1
+        with mp.workdps(40):
+            want = [float(mp.besseli(nu + 1, mp.mpf(k)) / mp.besseli(nu, mp.mpf(k)))
+                    for k in kappas]
+        assert np.all(np.abs(got - want) <= np.finfo(float).eps * np.array(want))
+        assert np.all(np.diff(got) > 0.0) and np.all(got < 1.0)
+        assert [mean_resultant_ratio(d, float(k)) for k in kappas] == list(got)
+
+    def test_kappa_mle_near_one(self):
+        # r = 1 - 1e-12 at d = 2 lies at kappa ~ 5e11, past ive's range.
+        kappa = kappa_mle(1.0 - 1e-12, 2)
+        assert math.isfinite(kappa)
+        assert mean_resultant_ratio(2, kappa) == pytest.approx(1.0 - 1e-12, abs=1e-10)

@@ -1,6 +1,7 @@
 """EM fitting, concentration MLE, BIC, KNN, and classical MDS."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +14,9 @@ from vmfgeom import (DistanceMatrix, FitConfig, SampleSet, VmfMixture, VmfParams
                      mean_resultant_ratio, mixture_log_likelihood, sample, sample_mixture,
                      geodesic_distance)
 from vmfgeom.experiments import SIM2_N, _derived_seed, sim2_truth
-from vmfgeom.fit_eval import _em_once, _kappa_newton, _seed_directions
+from vmfgeom.bessel import _TINY
+from vmfgeom.core import log_peak_density
+from vmfgeom.fit_eval import _EM_BLOCK, _em_restarts, _kappa_newton, _seed_directions
 from vmfgeom.rng import substream
 
 mp.mp.dps = 40
@@ -89,13 +92,105 @@ def em_reference(X, cfg, rng):
     return mixture_log_likelihood(mixture, X), iterations, converged, reseeds, subnormals
 
 
+def em_once_reference(X, cfg, rng):
+    """One EM restart on its own: the loop fit_em ran before restarts were
+    advanced together. Returns (mixture, log-likelihood, iterations,
+    converged, reseeds, history)."""
+    n, d = X.shape
+    k = cfg.k
+
+    seeds = _seed_directions(X, k, rng)
+    assign = np.argmax(X @ seeds.T, axis=1)
+    mus = np.empty((k, d))
+    kappas = np.empty(k)
+    weights = np.empty(k)
+    for j in range(k):
+        members = np.nonzero(assign == j)[0]
+        if members.size == 0:
+            members = np.array([int(rng.integers(n))])
+        resultant = X[members].sum(axis=0)
+        norm = float(np.linalg.norm(resultant))
+        mus[j] = resultant / norm if norm > 0 else seeds[j]
+        r_bar = min(max(norm / members.size, 1e-10), 1.0 - 1e-12) if norm > 0 else 0.5
+        kappas[j] = kappa_mle(r_bar, d, cfg.kappa_cap)
+        weights[j] = members.size / n
+
+    weights /= weights.sum()
+    prev_ll = -math.inf
+    history = []
+    reseeds = 0
+    converged = False
+    iterations = 0
+    for iterations in range(1, cfg.max_iters + 1):
+        log_c = log_peak_density(d, kappas) - kappas
+        beyond = ~np.isfinite(log_c)
+        log_c[beyond] = [log_normalizing_constant(d, c) for c in kappas[beyond]]
+        logp = np.log(weights) + log_c + kappas * (X @ mus.T)
+        top = logp.max(axis=1)
+        lse = top + np.log(np.exp(logp - top[:, None]).sum(axis=1))
+        ll = float(lse.sum())
+        history.append(ll)
+        if math.isfinite(prev_ll) and abs(ll - prev_ll) <= cfg.tol * abs(ll):
+            converged = True
+            break
+        prev_ll = ll
+        resp = np.exp(logp - lse[:, None])
+
+        n_eff = resp.sum(axis=0)
+        resp[resp < _TINY] = 0.0
+        resultants = resp.T @ X
+        norms = np.linalg.norm(resultants, axis=1)
+        fed = n_eff >= 1.0
+        mus[fed] = resultants[fed] / norms[fed, None]
+        kappas[fed] = _kappa_newton(np.clip(norms[fed] / n_eff[fed], 1e-10, 1.0 - 1e-12),
+                                    d, cfg.kappa_cap)
+        weights[fed] = n_eff[fed] / n
+        if not fed.all():
+            mus[~fed] = X[np.argmin(resp.max(axis=1))]
+            weights[~fed] = 1.0 / n
+            reseeds += int(np.count_nonzero(~fed))
+        weights /= weights.sum()
+
+    mixture = VmfMixture(
+        components=tuple(VmfParams(mu=mus[j], kappa=kappas[j]) for j in range(k)),
+        weights=weights)
+    ll = mixture_log_likelihood(mixture, X)
+    if not converged:
+        history.append(ll)
+    return mixture, ll, iterations, converged, reseeds, tuple(history)
+
+
+def assert_same_fit(got, want):
+    """Bit-identical (mixture, log-likelihood, iterations, converged,
+    reseeds, history) tuples."""
+    for a, b in zip(got[0].components, want[0].components, strict=True):
+        assert np.array_equal(a.mu, b.mu) and a.kappa == b.kappa
+    assert np.array_equal(got[0].weights, want[0].weights)
+    assert got[1:] == want[1:]
+
+
+def assert_restarts_match_oracle(X, cfg, blocks=None):
+    """Every restart of the blocks (by default one block of all restarts)
+    equals the restart run alone; returns the oracle's results."""
+    wants = [em_once_reference(X, cfg, substream(cfg.seed, "em-restart", r))
+             for r in range(cfg.restarts)]
+    got = [res for block in blocks or [range(cfg.restarts)] for res in _em_restarts(X, cfg, block)]
+    for a, b in zip(got, wants, strict=True):
+        assert_same_fit(a, b)
+    return wants
+
+
+def astuple_fit(fit):
+    return (fit.mixture, fit.log_likelihood, fit.iterations, fit.converged, fit.reseeds,
+            fit.history)
+
+
 class TestArrayEm:
     def test_newton_matches_scalar_loop(self):
         # Bit for bit: each element takes the scalar loop's steps, stop and cap.
-        # Targets up to 1e8; beyond about 1e9 neither ive nor the continued
-        # fraction gives A_d.
+        # Targets up to 1e12, past ive's range (about 1.09e9).
         for d in (2, 3, 768):
-            r = mean_resultant_ratio(d, np.geomspace(1e-6, 1e8, 60))
+            r = mean_resultant_ratio(d, np.geomspace(1e-6, 1e12, 60))
             for cap in (1e5, 1e12):
                 want = [kappa_mle_reference(float(v), d, cap) for v in r]
                 assert np.array_equal(_kappa_newton(r, d, cap), want)
@@ -111,13 +206,69 @@ class TestArrayEm:
         X = sample_mixture(truth, 600, seed=seed).points
         subnormals = 0
         for k in (2, 4, 6):
-            cfg = FitConfig(k=k, restarts=1, seed=seed)
-            _, ll, iterations, converged, reseeds, _ = _em_once(X, cfg, substream(seed, "em", k))
-            want = em_reference(X, cfg, substream(seed, "em", k))
-            assert ll == pytest.approx(want[0], rel=1e-12)
-            assert (iterations, converged, reseeds) == want[1:4]
-            subnormals += want[4]
+            cfg = FitConfig(k=k, restarts=3, seed=seed)
+            for r, got in enumerate(_em_restarts(X, cfg, range(cfg.restarts))):
+                want = em_reference(X, cfg, substream(seed, "em-restart", r))
+                assert got[1] == pytest.approx(want[0], rel=1e-12)
+                assert got[2:5] == want[1:4]
+                subnormals += want[4]
         assert subnormals > 1000
+
+
+class TestRestartBlocks:
+    """The restarts advanced together against each restart run alone
+    (em_once_reference), bit for bit."""
+
+    @pytest.mark.parametrize("k", [2, 7, 10])
+    def test_sim2_seed0_restarts_bit_identical(self, k):
+        # sim2 seed 0: at K = 2 and 7 restarts stop both by convergence and at
+        # max_iters, at different iterations; at K = 10 one restart reseeds
+        # 428 times and the other nine never do.
+        data = sample_mixture(sim2_truth(), SIM2_N, seed=_derived_seed(0, "sim2-sample"))
+        cfg = FitConfig(k=k, restarts=10, seed=_derived_seed(0, "sim2-fit", k))
+        wants = assert_restarts_match_oracle(data.points, cfg)
+        assert len({w[2] for w in wants}) >= 2
+        assert {w[3] for w in wants} == {True, False}
+        if k == 10:
+            assert [w[4] > 0 for w in wants].count(True) == 1
+        lls = [w[1] for w in wants]
+        assert_same_fit(astuple_fit(fit_em(data, cfg)), wants[lls.index(max(lls))])
+
+    def test_768d_restarts_converge_at_different_iterations(self):
+        # Four modes 0.3 rad from a common axis in R^768, fitted with six
+        # components: the restarts converge after 17, 19 and 22 iterations, so
+        # the block shrinks twice. Small matrices also take other BLAS kernels
+        # than large ones, so only same-shape products give the same bits.
+        centers = np.zeros((4, 768))
+        centers[:, 0] = math.cos(0.3)
+        centers[np.arange(4), np.arange(1, 5)] = math.sin(0.3)
+        truth = VmfMixture(components=tuple(VmfParams(mu=c, kappa=400.0) for c in centers),
+                           weights=np.full(4, 0.25))
+        X = sample_mixture(truth, 300, seed=5).points
+        wants = assert_restarts_match_oracle(X, FitConfig(k=6, restarts=3, seed=2))
+        assert [w[2:4] for w in wants] == [(17, True), (19, True), (22, True)]
+
+    def test_restarts_span_blocks_with_bounded_memory(self):
+        data = sample_mixture(sim2_truth(), 1000, seed=3)
+        n, d = data.points.shape
+        block = _EM_BLOCK // ((n + d) * 20)
+        cfg = FitConfig(k=20, restarts=2 * block + 3, max_iters=8, seed=4)
+        blocks = [range(0, block), range(block, 2 * block), range(2 * block, cfg.restarts)]
+        wants = assert_restarts_match_oracle(data.points, cfg, blocks)
+        lls = [w[1] for w in wants]
+        peaks = []
+        for restarts in (block, cfg.restarts):
+            tracemalloc.start()
+            try:
+                fit = fit_em(data, FitConfig(k=20, restarts=restarts, max_iters=8, seed=4))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert_same_fit(astuple_fit(fit), wants[lls.index(max(lls))])
+        # Three blocks peak no higher than one: the working set is one
+        # block's arrays, not one per restart.
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] < 3 * 8 * _EM_BLOCK  # three block-sized float64 arrays
 
 
 class TestKappaMle:

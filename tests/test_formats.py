@@ -127,6 +127,23 @@ class TestSampleCsv:
         # and no n x d temporary (the parser's own buffers stay well below).
         assert peak < 1.5 * pts.nbytes
 
+    def test_read_labelled_points_copied_once(self, tmp_path):
+        pts = sample(VmfParams(mu=np.eye(768)[0], kappa=500.0), 1000, seed=6).points
+        labels = np.arange(1000) % 7
+        path = tmp_path / "s.csv"
+        write_samples(path, SampleSet(points=pts, labels=labels))
+        tracemalloc.start()
+        try:
+            s = read_samples(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(s.points, pts) and np.array_equal(s.labels, labels)
+        assert not s.points.flags.writeable
+        # The points are a view of the parsed n x (d + 1) array: no copy of
+        # the coordinates and no n x d temporary for their norms.
+        assert peak < 1.5 * pts.nbytes
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("0.5,0.5,0.5\n0.1,0.1,0.1\n")
