@@ -149,6 +149,7 @@ def _seed_directions(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
 
 
 _EM_BLOCK = 1 << 18  # elements per block of restarts, at (n + d) k each: 2 MB arrays
+_LOG_TINY = math.log(_TINY)  # exp(x) < tiny exactly when x < _LOG_TINY
 
 
 def _em_start(X: np.ndarray, k: int, kappa_cap: float, rng: np.random.Generator):
@@ -177,10 +178,13 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
     The restarts still iterating stack along the first axis of every array,
     and a restart leaves when it converges. Each matmul and sum has the shape
     and axis one restart alone would use, so each result is bit-identical to
-    a restart run on its own. Responsibilities below the smallest normal
-    float (tiny) are zeroed before the resp.T @ X products, which run about
-    nine times slower on subnormals; as |x_i| <= 1, that moves each
-    resultant coordinate by less than n * tiny.
+    a restart run on its own. No exp here forms a subnormal (a value below
+    tiny, the smallest normal float), on which exp and the resp.T @ X
+    products run several times slower: an exponent below log(tiny) becomes
+    -inf first, so exp gives 0. In the log-sum-exp such a term is under
+    half an ulp of its row sum, which holds exp(0) = 1. In the
+    responsibilities it zeroes exactly those below tiny; as |x_i| <= 1, that
+    moves each resultant coordinate by less than n * tiny.
     """
     n, d = X.shape
     mus, kappas, weights = map(np.stack, zip(*(
@@ -205,6 +209,7 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
         for j in range(1, cfg.k):  # exact, and faster than max(axis=2) on a short axis
             top = np.maximum(top, logp[..., j])
         shifted = logp - top[..., None]
+        shifted[shifted < _LOG_TINY] = -np.inf
         lse = top + np.log(np.exp(shifted, out=shifted).sum(axis=2))
         ll = lse.sum(axis=1)
         for p, v in zip(live, ll.tolist()):
@@ -213,10 +218,10 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
         leave(done, True)
         prev_ll = ll
         logp -= lse[..., None]
+        logp[logp < _LOG_TINY] = -np.inf
         resp = np.exp(logp, out=logp)
 
         n_eff = resp.sum(axis=1)
-        resp[resp < _TINY] = 0.0
         resultants = np.swapaxes(resp, 1, 2) @ X
         norms = np.linalg.norm(resultants, axis=2)
         fed = n_eff >= 1.0

@@ -45,7 +45,7 @@ def mixture_from_dict(doc: dict) -> VmfMixture:
         try:
             mu, kappa, weight = entry["mu"], entry["kappa"], entry["weight"]
             numbers = [kappa, weight] + (mu if isinstance(mu, list) else [])
-            if any(isinstance(v, bool) for v in numbers):  # json reads true as 1
+            if bool in map(type, numbers):  # json reads true as 1; bool has no subclasses
                 raise ValueError("component entry holds a boolean where a number belongs")
             params.append(VmfParams(mu=np.asarray(mu, dtype=np.float64), kappa=float(kappa)))
             weights.append(float(weight))

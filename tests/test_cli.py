@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, exit codes, byte-stable outputs."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -307,3 +309,52 @@ class TestMalformedMixtureFuzz:
     @example(doc=_HUGE_INT, metric="wl")
     def test_dist_exit_codes(self, doc, metric):
         assert self.exit_code(doc, "dist", "--metric", metric) in (0, 2, 3)
+
+
+# Malformed CSV files: ragged rows, empty files, non-finite and out-of-range
+# numbers, text, stray separators and bytes that are not UTF-8, next to rows
+# of a well-formed file.
+_CELL = st.one_of(st.sampled_from(["0", "1", "0.6", "0.8", "-1", "2", "nan", "inf", "-inf", "1e400",
+                                   "1e-400", "", " ", "x", ";", "\t", '"1"', "0x10", "1_0"]),
+                  st.floats().map(repr), st.text(max_size=3))
+_ROW = st.one_of(st.sampled_from(["1,0", "0,1", "0.6,0.8", "0.6,0.8,0", "0,1,1", "0,1\r"]),
+                 st.lists(_CELL, max_size=4).map(",".join))
+_CSV = st.lists(_ROW, max_size=5).map("\n".join).map(str.encode)
+_BYTES = st.one_of(_CSV, st.binary(max_size=24), st.tuples(_CSV, st.binary(min_size=1, max_size=4))
+                   .map(lambda parts: parts[0] + b"\xff" + parts[1]))
+
+
+class TestMalformedCsvFuzz:
+    @staticmethod
+    def exit_code(data: bytes, command, *options):
+        """main's return code on the file; an exception escaping fails the
+        test, and no traceback may be printed."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            out = os.path.join(tmp, "out")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, path, "-o", out, *options])
+        assert "Traceback" not in err.getvalue()
+        return code
+
+    @given(data=_BYTES)
+    @example(data=b"")
+    @example(data=b"1,0\n0,1\n")
+    @example(data=b"1,0\n0,1,0\n")
+    @example(data=b"1e400,0\n0,1\n")
+    @example(data=b"\xff\xfe1,0\n")
+    def test_fit_exit_codes(self, data):
+        code = self.exit_code(data, "fit", "--k", "1", "--restarts", "1", "--meta", os.devnull)
+        assert code in (0, 2, 3)
+
+    @given(data=_BYTES)
+    @example(data=b"")
+    @example(data=b"0,1\n1,0\n")
+    @example(data=b"0,nan\nnan,0\n")
+    @example(data=b"0,1,2\n1,0\n")
+    @example(data=b"0,1\n1,0\xff\n")
+    def test_embed_exit_codes(self, data):
+        assert self.exit_code(data, "embed", "--dim", "1") in (0, 2, 3)

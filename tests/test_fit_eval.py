@@ -13,6 +13,7 @@ from vmfgeom import (DistanceMatrix, FitConfig, SampleSet, VmfMixture, VmfParams
                      kappa_mle, knn_predict, log_normalizing_constant, mds_embed,
                      mean_resultant_ratio, mixture_log_likelihood, sample, sample_mixture,
                      geodesic_distance)
+from vmfgeom import fit_eval
 from vmfgeom.experiments import SIM2_N, _derived_seed, sim2_truth
 from vmfgeom.bessel import _TINY
 from vmfgeom.core import log_peak_density
@@ -180,6 +181,27 @@ def assert_restarts_match_oracle(X, cfg, blocks=None):
     return wants
 
 
+def subnormal_share(X, mixture):
+    """Share of the n x k responsibilities of the mixture at X that are
+    subnormal, through scalar log C_d and scipy's logsumexp."""
+    mus = np.stack([c.mu for c in mixture.components])
+    kappas = np.array([c.kappa for c in mixture.components])
+    log_c = [log_normalizing_constant(X.shape[1], c) for c in kappas]
+    logp = np.log(mixture.weights) + log_c + kappas * (X @ mus.T)
+    resp = np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
+    return np.count_nonzero((resp > 0.0) & (resp < _TINY)) / resp.size
+
+
+def five_clusters_768(n, seed):
+    """n points from five orthonormal modes at kappa = 1020 in R^768. Fitted
+    with six components, many log-densities of the other modes sit 708 to
+    745 below a point's own, where responsibilities are subnormal."""
+    centers = np.linalg.qr(np.random.default_rng(seed).standard_normal((768, 5)))[0].T
+    truth = VmfMixture(components=tuple(VmfParams(mu=c, kappa=1020.0) for c in centers),
+                       weights=np.full(5, 0.2))
+    return sample_mixture(truth, n, seed=seed + 1).points
+
+
 def astuple_fit(fit):
     return (fit.mixture, fit.log_likelihood, fit.iterations, fit.converged, fit.reseeds,
             fit.history)
@@ -247,6 +269,40 @@ class TestRestartBlocks:
         X = sample_mixture(truth, 300, seed=5).points
         wants = assert_restarts_match_oracle(X, FitConfig(k=6, restarts=3, seed=2))
         assert [w[2:4] for w in wants] == [(17, True), (19, True), (22, True)]
+
+    def test_768d_subnormal_responsibilities_bit_identical(self):
+        # The oracle forms every subnormal responsibility and exponential,
+        # _em_restarts none: the fits must still agree bit for bit.
+        X = five_clusters_768(600, seed=0)
+        wants = assert_restarts_match_oracle(X, FitConfig(k=6, restarts=3, seed=0))
+        assert all(subnormal_share(X, w[0]) >= 0.2 for w in wants)
+        assert {w[2] for w in wants} == {4, 7} and any(w[4] for w in wants)
+
+    def test_log_tiny_is_the_exact_threshold(self):
+        # Masking exponents below _LOG_TINY zeroes exactly the exponentials below tiny.
+        below = np.nextafter(fit_eval._LOG_TINY, -np.inf)
+        assert np.all(np.exp(np.full(64, fit_eval._LOG_TINY)) >= _TINY)
+        assert np.all(np.exp(np.full(64, below)) < _TINY)
+
+    def test_estep_forms_no_subnormal(self, monkeypatch):
+        # Every exp in fit_eval is an E-step exp; count the subnormals they return.
+        outputs = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, *args, **kwargs):
+                out = np.exp(*args, **kwargs)
+                outputs.append((out.size, np.count_nonzero((out > 0.0) & (out < _TINY))))
+                return out
+
+        X = five_clusters_768(600, seed=0)
+        monkeypatch.setattr(fit_eval, "np", CountingNumpy())
+        iterations = max(r[2] for r in _em_restarts(X, FitConfig(k=6, restarts=3, seed=0), range(3)))
+        assert len(outputs) == 2 * iterations  # the log-sum-exp and the responsibilities
+        assert sum(count for _, count in outputs) == 0
+        assert sum(size for size, _ in outputs) > 20_000
 
     def test_restarts_span_blocks_with_bounded_memory(self):
         data = sample_mixture(sim2_truth(), 1000, seed=3)
