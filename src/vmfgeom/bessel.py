@@ -6,9 +6,34 @@ concentration, where a naive I_nu overflows or underflows float64.
 """
 
 import math
+import sys
 
 import numpy as np
-from scipy.special import gammaln, ive, logsumexp
+
+
+def _deferred(name: str):
+    """A stand-in for scipy.special's function `name` that imports
+    scipy.special (about 0.2 s, and no WL distance, geodesic or barycenter
+    needs it) at its first call. That call rebinds `name` to scipy's
+    function in every vmfgeom module that still binds the stand-in, so
+    later calls cost nothing extra; a wrapper holding it still works."""
+    func = None
+
+    def load(*args, **kwargs):
+        nonlocal func
+        if func is None:
+            import scipy.special
+            func = getattr(scipy.special, name)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.partition(".")[0] == __package__ and vars(mod).get(name) is load:
+                    setattr(mod, name, func)
+        return func(*args, **kwargs)
+
+    return load
+
+
+# The only scipy import in vmfgeom; core and fit_eval take these from here.
+gammaln, ive, logsumexp = map(_deferred, ("gammaln", "ive", "logsumexp"))
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _TINY = np.finfo(np.float64).tiny

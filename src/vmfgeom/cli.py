@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import formats
 from .barycenter import BarycenterConfig, barycenter
@@ -210,17 +211,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A library warning as one line like the CLI's own, without its source."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # an in-process caller gets its own display back
+        warnings.showwarning = _show_warning
+        try:
+            args.func(args)
+        except CliError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return err.code
+        except (ValueError, OSError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     return 0
 
 

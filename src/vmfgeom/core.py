@@ -9,9 +9,8 @@ import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.special import ive
 
-from .bessel import _TINY, _log_iv_series, log_bessel_i
+from .bessel import _TINY, _log_iv_series, ive, log_bessel_i
 from .rng import substream
 
 _LOG_2PI = math.log(2.0 * math.pi)

@@ -9,9 +9,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .bessel import _TINY, mean_resultant_ratio
+from .bessel import _TINY, logsumexp, mean_resultant_ratio
 from .core import SampleSet, VmfMixture, VmfParams, log_normalizing_constant, log_peak_density
 from .rng import substream
 

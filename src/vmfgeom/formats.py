@@ -12,6 +12,7 @@ cycle bit-exactly.
 """
 
 import json
+import warnings
 
 import numpy as np
 
@@ -97,9 +98,7 @@ def write_samples(path, s: SampleSet, header: bool = False) -> None:
 def read_samples(path, header: bool = False) -> SampleSet:
     """Read a sample CSV; a trailing label column is detected by checking
     whether the rows are unit-norm with or without their last column."""
-    raw = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
-    if raw.shape[0] == 0:
-        raise ValueError("sample file is empty")
+    raw = _read_csv(path, skiprows=1 if header else 0)
     norms_all = np.sqrt(np.einsum("ij,ij->i", raw, raw))  # no n x d temporary
     if np.all(np.abs(norms_all - 1.0) <= 1e-6):
         return SampleSet(points=raw, _owned=True)
@@ -116,7 +115,18 @@ def write_distance_matrix(path, dm: DistanceMatrix) -> None:
 
 
 def read_distance_matrix(path) -> DistanceMatrix:
-    return DistanceMatrix(entries=np.loadtxt(path, delimiter=",", ndmin=2))
+    return DistanceMatrix(entries=_read_csv(path))
+
+
+def _read_csv(path, skiprows: int = 0) -> np.ndarray:
+    """The numbers of a comma-separated file as a 2-d array. A file without
+    data rows raises ValueError, and numpy's warning about it is not shown."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        raw = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+    if raw.shape[0] == 0:
+        raise ValueError("the file holds no data rows")
+    return raw
 
 
 def write_trace(path, trace: ReductionTrace) -> None:

@@ -38,6 +38,11 @@ from .rng import substream
 # components still reduce. There is deliberately no option to raise it.
 MAX_PAIRWISE_LAWS = 5_000
 
+# _l2_matrix's rounding bound per unit of (d + k_p + k_q)(int f_p^2 + int
+# f_q^2): 32 eps, the multiple that tests/test_bessel.py's range grid asserts.
+_L2_ROUNDING = 32.0 * np.finfo(np.float64).eps
+_LOG_MAX = math.log(np.finfo(np.float64).max)
+
 
 class AntipodalMeansError(ValueError):
     """Raised where a logarithmic map (and hence a geodesic) is not unique."""
@@ -245,8 +250,9 @@ def _l2_matrix(mus: np.ndarray, kappas: np.ndarray) -> np.ndarray:
     L2^2 is then a small multiple of eps (d + k_p + k_q) (int f_p^2 +
     int f_q^2): nearly equal laws lose relative accuracy to cancellation,
     and identical laws give exactly 0. Raises ValueError where a distance
-    is not a finite float64 (at d = 768, any two laws that do not nearly
-    coincide) or a resultant concentration exceeds about 1.09e9.
+    is not a finite float64, where it is within that error bound of 0 while
+    the square root of the bound is past float64 (so at d = 768 for any two
+    distinct laws), or where a resultant concentration exceeds about 1.09e9.
     """
     n, d = mus.shape
     # Gram matrix summed one coordinate at a time, so each entry rounds the
@@ -272,9 +278,15 @@ def _l2_matrix(mus: np.ndarray, kappas: np.ndarray) -> np.ndarray:
         own = 2.0 * peak - log_peak_density(d, 2.0 * kappas)
         cross = peak[i] + peak[j] - log_peak_density(d, big * root) + shift
         top = np.maximum(own[i], own[j])
-        bracket = np.exp(own[i] - top) + np.exp(own[j] - top) - 2.0 * np.exp(cross - top)
+        norms = np.exp(own[i] - top) + np.exp(own[j] - top)
+        bracket = norms - 2.0 * np.exp(cross - top)
         dist = np.exp(0.5 * (top + np.log(np.maximum(bracket, 0.0))))
-    if not np.all(np.isfinite(dist)):
+        # A bracket within its rounding bound of 0 only says that L2 is below
+        # about sqrt(bound) exp(top / 2). Where exp(top / 2) overflows, that
+        # bounds nothing in float64, so distinct laws raise instead of getting 0.
+        lost = ((bracket <= _L2_ROUNDING * (d + kappas[i] + kappas[j]) * norms)
+                & (top > 2.0 * _LOG_MAX) & ((cos < 1.0) | (kappas[i] != kappas[j])))
+    if lost.any() or not np.all(np.isfinite(dist)):
         raise ValueError(f"the L2 distance cannot be evaluated in float64 for these laws (d = {d})")
     out = np.zeros((n, n))
     out[i, j] = dist

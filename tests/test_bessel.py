@@ -187,19 +187,26 @@ class TestRangeGrid:
                 own = mp.exp(2 * log_c(p) - log_c(2 * p)) + mp.exp(2 * log_c(q) - log_c(2 * q))
                 res = mp.sqrt(p * p + q * q + 2 * p * q * mp.cos(theta))
                 want = own - 2 * mp.exp(log_c(p) + log_c(q) - log_c(res))
+                bound = 32 * np.finfo(float).eps * (d + kp + kq) * own
                 try:
                     got = _l2_matrix(mus, np.array([kp, kq]))
                 except ValueError:
-                    assert mp.sqrt(want) > np.finfo(float).max
+                    # Not a float64, or within the error bound of 0 where
+                    # the bound itself spans past float64 (d = 768, kappa
+                    # = 1e-6, theta = 1e-3: about 2e306, unresolvable).
+                    fmax = np.finfo(float).max
+                    assert mp.sqrt(want) > fmax or (want <= bound and mp.sqrt(bound) > fmax)
                     raised += 1
                     continue
                 assert got[0, 1] == got[1, 0] and got[0, 0] == 0.0
-                bound = 32 * np.finfo(float).eps * (d + kp + kq) * own
                 assert abs(mp.mpf(float(got[0, 1])) ** 2 - want) <= bound
                 checked += 1
-        # At d = 768 the densities' L2 norms overflow, so only laws that
-        # nearly coincide (here the smallest kappas) get a distance.
+        # At d = 768 the densities' L2 norms overflow, so no two distinct
+        # grid laws get a distance: every one raises, also where (kappa in
+        # [1e-6, 1e-2]) the bracket cancels to 0 within its error bound.
+        # Only the identical pairs are checked, and they give exactly 0.
         assert checked > 0 and (raised > 0) == (d == 768)
+        assert d != 768 or checked == len(self.KAPPAS)
         # Identical laws give exactly 0; a resultant past ive's range raises.
         assert _l2_matrix(np.eye(d)[[0, 0]], np.array([5.0, 5.0]))[0, 1] == 0.0
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,16 @@ class TestDist:
         assert main(["dist", a, b, "--metric", "l2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_l2_cancelled_bracket_exit_2(self, tmp_path, capsys):
+        # The kernel's bracket cancels to 0 within its error bound, while the
+        # true distance (mpmath: about 3e309) is past float64; not 0.0.
+        d = 768
+        a = write_single(tmp_path / "a768.json", np.eye(d)[0], 1e-6)
+        b = write_single(tmp_path / "b768.json", np.eye(d)[1], 1e-6)
+        assert main(["dist", a, b, "--metric", "l2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
 
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -259,6 +270,52 @@ class TestEmbed:
         src = tmp_path / "d.csv"
         src.write_text("0,1\n2,0\n")
         assert main(["embed", str(src), "-o", str(tmp_path / "c.csv")]) == 2
+
+
+class TestStderrLines:
+    """What the CLI writes to stderr: its own one-line messages, never a
+    library warning with its source file and line."""
+
+    @pytest.mark.parametrize("content, command", [
+        ("", ["fit", "--k", "1", "--meta", os.devnull]),
+        ("x0,x1\n", ["fit", "--k", "1", "--meta", os.devnull, "--header"]),
+        ("", ["embed"]),
+    ])
+    def test_no_data_rows_one_error_line(self, tmp_path, content, command):
+        src = tmp_path / "in.csv"
+        src.write_text(content)
+        run = run_cli(command[0], str(src), "-o", str(tmp_path / "out"), *command[1:])
+        assert run.returncode == 2
+        assert run.stderr == f"error: {src}: the file holds no data rows\n"
+
+    @staticmethod
+    def beyond_ball(tmp_path):
+        """A mixture file whose extrinsic mean leaves its second direction
+        outside the pi/2 ball, so frechet_mean warns."""
+        src = tmp_path / "m.json"
+        write_mixture(src, VmfMixture(components=(VmfParams(mu=[1, 0, 0], kappa=2.0),
+                                                  VmfParams(mu=[-0.6, 0.8, 0], kappa=3.0)),
+                                      weights=[0.8, 0.2]))
+        return src
+
+    @pytest.mark.parametrize("command", [["barycenter"], ["reduce", "--k", "1"]])
+    def test_library_warning_one_line(self, tmp_path, command):
+        src = self.beyond_ball(tmp_path)
+        run = run_cli(command[0], str(src), *command[1:], "-o", str(tmp_path / "out.json"))
+        assert run.returncode == 0
+        assert run.stderr == ("warning: directions exceed the open pi/2 ball around the "
+                              "initializer; the Frechet mean may not be unique\n")
+
+    def test_in_process_caller_keeps_its_warning_state(self, tmp_path, capsys):
+        src = self.beyond_ball(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            shown, filters = warnings.showwarning, list(warnings.filters)
+            assert main(["barycenter", str(src), "-o", str(tmp_path / "out.json")]) == 0
+            assert warnings.showwarning is shown and warnings.filters == filters
+            warnings.warn("after main", UserWarning)
+        assert capsys.readouterr().err.startswith("warning: directions exceed")
+        assert [str(w.message) for w in caught] == ["after main"]
 
 
 class TestExperimentCommand:
