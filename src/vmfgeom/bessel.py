@@ -6,7 +6,6 @@ concentration, where a naive I_nu overflows or underflows float64.
 """
 
 import math
-import sys
 
 import numpy as np
 
@@ -14,9 +13,9 @@ import numpy as np
 def _deferred(name: str):
     """A stand-in for scipy.special's function `name` that imports
     scipy.special (about 0.2 s, and no WL distance, geodesic or barycenter
-    needs it) at its first call. That call rebinds `name` to scipy's
-    function in every vmfgeom module that still binds the stand-in, so
-    later calls cost nothing extra; a wrapper holding it still works."""
+    needs it) at its first call. That call binds scipy's function in place
+    of the stand-in in this module, so calls from here cost nothing extra
+    afterwards; a module that imported the stand-in keeps calling through it."""
     func = None
 
     def load(*args, **kwargs):
@@ -24,9 +23,8 @@ def _deferred(name: str):
         if func is None:
             import scipy.special
             func = getattr(scipy.special, name)
-            for mod_name, mod in list(sys.modules.items()):
-                if mod_name.partition(".")[0] == __package__ and vars(mod).get(name) is load:
-                    setattr(mod, name, func)
+            if globals()[name] is load:
+                globals()[name] = func
         return func(*args, **kwargs)
 
     return load

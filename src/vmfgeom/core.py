@@ -10,7 +10,8 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .bessel import _TINY, _log_iv_series, ive, log_bessel_i
+from . import bessel
+from .bessel import _TINY, _log_iv_series, log_bessel_i
 from .rng import substream
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -173,7 +174,7 @@ def log_peak_density(d: int, kappa) -> np.ndarray:
     kappa = np.asarray(kappa, dtype=np.float64)
     nu = d / 2.0 - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = ive(nu, kappa)
+        y = bessel.ive(nu, kappa)
         base = nu * np.log(kappa) - (d / 2.0) * _LOG_2PI
         out = base - np.log(y)
     out[kappa == 0.0] = math.lgamma(d / 2.0) - math.log(2.0) - (d / 2.0) * math.log(math.pi)

@@ -250,9 +250,10 @@ def _l2_matrix(mus: np.ndarray, kappas: np.ndarray) -> np.ndarray:
     L2^2 is then a small multiple of eps (d + k_p + k_q) (int f_p^2 +
     int f_q^2): nearly equal laws lose relative accuracy to cancellation,
     and identical laws give exactly 0. Raises ValueError where a distance
-    is not a finite float64, where it is within that error bound of 0 while
-    the square root of the bound is past float64 (so at d = 768 for any two
-    distinct laws), or where a resultant concentration exceeds about 1.09e9.
+    is not a finite float64, where distinct laws have L2^2 within that
+    error bound of 0 while the larger of their L2 norms (int f^2)^(1/2) is
+    past float64 (so at d = 768 for any two distinct laws), or where a
+    resultant concentration exceeds about 1.09e9.
     """
     n, d = mus.shape
     # Gram matrix summed one coordinate at a time, so each entry rounds the
@@ -282,8 +283,9 @@ def _l2_matrix(mus: np.ndarray, kappas: np.ndarray) -> np.ndarray:
         bracket = norms - 2.0 * np.exp(cross - top)
         dist = np.exp(0.5 * (top + np.log(np.maximum(bracket, 0.0))))
         # A bracket within its rounding bound of 0 only says that L2 is below
-        # about sqrt(bound) exp(top / 2). Where exp(top / 2) overflows, that
-        # bounds nothing in float64, so distinct laws raise instead of getting 0.
+        # about sqrt(bound) exp(top / 2). Where exp(top / 2), the larger L2
+        # norm, overflows, that bounds nothing useful in float64, so distinct
+        # laws raise instead of getting 0.
         lost = ((bracket <= _L2_ROUNDING * (d + kappas[i] + kappas[j]) * norms)
                 & (top > 2.0 * _LOG_MAX) & ((cos < 1.0) | (kappas[i] != kappas[j])))
     if lost.any() or not np.all(np.isfinite(dist)):
