@@ -236,10 +236,22 @@ def _rotate_from_pole(points: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return points - 2.0 * np.outer(points @ u, u)
 
 
-def sample(p: VmfParams, n: int, seed: int) -> SampleSet:
-    """Draw n i.i.d. observations from the vMF law p, deterministic in seed."""
+# sample and sample_mixture refuse more than this many coordinates (n * d)
+# before they allocate. At the cap the draw peaks at about 1 GB (four n x d
+# float64 buffers) and the sample CSV is about 0.8 GB.
+MAX_SAMPLE_ENTRIES = 30_000_000
+
+
+def _check_sample_size(n: int, d: int) -> None:
     if n < 1:
         raise ValueError("need n >= 1")
+    if n * d > MAX_SAMPLE_ENTRIES:
+        raise ValueError(f"n * d = {n * d} exceeds the sampling limit of {MAX_SAMPLE_ENTRIES}")
+
+
+def sample(p: VmfParams, n: int, seed: int) -> SampleSet:
+    """Draw n i.i.d. observations from the vMF law p, deterministic in seed."""
+    _check_sample_size(n, p.d)
     rng = substream(seed, "vmf-sample")
     return SampleSet(points=_draw(rng, p, n))
 
@@ -263,8 +275,7 @@ def sample_mixture(m: VmfMixture, n: int, seed: int) -> SampleSet:
     A one-component mixture reuses the plain sampler's stream, so its points
     are bit-identical to sample() with the same seed.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_sample_size(n, m.d)
     if m.k == 1:
         pts = sample(m.components[0], n, seed).points
         return SampleSet(points=pts, labels=np.zeros(n, dtype=np.int64))

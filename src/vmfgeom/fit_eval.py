@@ -60,38 +60,72 @@ def kappa_mle(r_bar: float, d: int, kappa_cap: float = 1e12) -> float:
     resultant length.
 
     Starts from the rational approximation r(d - r^2)/(1 - r^2) (Banerjee et
-    al. 2005) and refines with at most 25 Newton steps (Sra 2012), stopping
-    at |A_d(kappa) - r_bar| < 1e-10 or at the cap.
+    al. 2005) and refines it with the guarded Halley steps of _kappa_newton.
     """
     r_bar = float(r_bar)
     if not 0.0 < r_bar < 1.0:
         raise ValueError(f"r_bar must lie in (0, 1), got {r_bar}")
-    return float(_kappa_newton(np.array([r_bar]), d, kappa_cap)[0])
+    return float(_kappa_newton(np.array([r_bar]), d, kappa_cap)[0][0])
 
 
-def _kappa_newton(r_bar: np.ndarray, d: int, kappa_cap: float) -> np.ndarray:
+def _kappa_newton(r_bar: np.ndarray, d: int, kappa_cap: float, kappa=None, a=None):
     """kappa_mle elementwise over an array of mean resultant lengths in
-    (0, 1). Each element keeps its own start, step count, stop and cap: the
-    Newton step runs only on the elements still moving."""
-    kappa = np.clip(r_bar * (d - r_bar * r_bar) / (1.0 - r_bar * r_bar), 1e-12, kappa_cap)
+    (0, 1): the concentrations and A_d at each of them (NaN at the cap).
+
+    Starts from kappa where given (a warm start, such as the previous EM
+    iterate) and within 50 % of Banerjee's estimate, else from that
+    estimate. a holds A_d at the start where known and NaN elsewhere, so a
+    solve started from the last one's result makes no Bessel call for its
+    first step. Each element takes at most 25 steps, only while it moves,
+    and stops at |A_d(kappa) - r_bar| < 1e-10 or at the cap; one still
+    short of both after 25 steps raises RuntimeError.
+    A step is Halley's (Song, Liu & Wang 2012) where |resid A''| < A'^2,
+    which keeps its denominator above A'^2 / 2, and Newton's (Sra 2012)
+    elsewhere. Both derivatives come from A_d, with no Bessel call of their
+    own, and past kappa = 1e6 sqrt(d) from its large-argument expansion.
+    """
+    cold = np.clip(r_bar * (d - r_bar * r_bar) / (1.0 - r_bar * r_bar), 1e-12, kappa_cap)
+    kappa = cold if kappa is None else np.array(kappa, dtype=np.float64)
+    a = np.full(kappa.size, np.nan) if a is None else np.array(a, dtype=np.float64)
+    # Banerjee's estimate lies at most 7 % above the root (measured for d up
+    # to 1000). A start more than 50 % away from it takes it instead: below
+    # the root a step at most doubles kappa, and from far above one lands
+    # near 0.
+    away = np.abs(kappa - cold) > 0.5 * cold
+    kappa[away], a[away] = cold[away], np.nan
     live = np.arange(kappa.size)
-    for _ in range(25):
-        a = mean_resultant_ratio(d, kappa[live])
-        resid = a - r_bar[live]
+    for steps in range(26):
+        fresh = live[np.isnan(a[live])]
+        if fresh.size:
+            a[fresh] = mean_resultant_ratio(d, kappa[fresh])
+        resid = a[live] - r_bar[live]
         moving = np.abs(resid) >= 1e-10
-        live, a, resid = live[moving], a[moving], resid[moving]
+        live, resid = live[moving], resid[moving]
         if live.size == 0:
-            break
-        cur = kappa[live]
-        step = resid / (1.0 - a * a - (d - 1.0) * a / cur)
-        # Newton can overshoot past zero near the origin; halve into range.
+            return kappa, a
+        if steps == 25:
+            raise RuntimeError(f"concentration solve did not converge in 25 steps at d={d}, "
+                               f"r_bar={float(r_bar[live[0]])!r}, kappa={float(kappa[live[0]])!r}")
+        cur, at = kappa[live], a[live]
+        slope = 1.0 - at * at - (d - 1.0) * at / cur
+        curve = -2.0 * at * slope - (d - 1.0) * (slope * cur - at) / (cur * cur)
+        # Past 1e6 sqrt(d) these cancel to fewer digits than A_d carries, so
+        # the derivatives come from the expansion A_d = 1 - c1/kappa + c2/kappa^2.
+        far = cur > 1e6 * math.sqrt(d)
+        kf, c1, c2 = cur[far], (d - 1.0) / 2.0, (d - 1.0) * (d - 3.0) / 8.0
+        slope[far] = (c1 - 2.0 * c2 / kf) / (kf * kf)
+        curve[far] = (6.0 * c2 / kf - 2.0 * c1) / (kf * kf * kf)
+        halley = np.abs(resid * curve) < slope * slope
+        step = np.where(halley, resid * slope / (slope * slope - 0.5 * resid * curve),
+                        resid / slope)
+        # A step can overshoot past zero near the origin; halve into range.
         nxt = cur - step
         while (over := nxt <= 0.0).any():
             step[over] *= 0.5
             nxt[over] = cur[over] - step[over]
         kappa[live] = np.minimum(nxt, kappa_cap)
+        a[live] = np.nan
         live = live[nxt < kappa_cap]
-    return kappa
 
 
 def bic(log_likelihood: float, k: int, d: int, n: int) -> float:
@@ -152,11 +186,12 @@ _LOG_TINY = math.log(_TINY)  # exp(x) < tiny exactly when x < _LOG_TINY
 
 
 def _em_start(X: np.ndarray, k: int, kappa_cap: float, rng: np.random.Generator):
-    """One restart's initial (mus, kappas, weights) from k-means++ seeds."""
+    """One restart's initial (mus, kappas, A_d at kappas, weights) from
+    k-means++ seeds."""
     n, d = X.shape
     seeds = _seed_directions(X, k, rng)
     assign = np.argmax(X @ seeds.T, axis=1)
-    mus, kappas, weights = np.empty((k, d)), np.empty(k), np.empty(k)
+    mus, r_bars, weights = np.empty((k, d)), np.empty(k), np.empty(k)
     for j in range(k):
         members = np.nonzero(assign == j)[0]
         if members.size == 0:
@@ -164,10 +199,9 @@ def _em_start(X: np.ndarray, k: int, kappa_cap: float, rng: np.random.Generator)
         resultant = X[members].sum(axis=0)
         norm = float(np.linalg.norm(resultant))
         mus[j] = resultant / norm if norm > 0 else seeds[j]
-        r_bar = min(max(norm / members.size, 1e-10), 1.0 - 1e-12) if norm > 0 else 0.5
-        kappas[j] = kappa_mle(r_bar, d, kappa_cap)
+        r_bars[j] = min(max(norm / members.size, 1e-10), 1.0 - 1e-12) if norm > 0 else 0.5
         weights[j] = members.size / n
-    return mus, kappas, weights / weights.sum()
+    return (mus, *_kappa_newton(r_bars, d, kappa_cap), weights / weights.sum())
 
 
 def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
@@ -186,7 +220,7 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
     moves each resultant coordinate by less than n * tiny.
     """
     n, d = X.shape
-    mus, kappas, weights = map(np.stack, zip(*(
+    mus, kappas, ads, weights = map(np.stack, zip(*(
         _em_start(X, cfg.k, cfg.kappa_cap, substream(cfg.seed, "em-restart", r)) for r in restarts)))
     live = np.arange(len(restarts))  # block positions of the restarts still iterating
     prev_ll, reseeds = np.full(live.size, -np.inf), np.zeros(live.size, dtype=np.int64)
@@ -225,8 +259,10 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
         norms = np.linalg.norm(resultants, axis=2)
         fed = n_eff >= 1.0
         mus[fed] = resultants[fed] / norms[fed, None]
-        kappas[fed] = _kappa_newton(np.clip(norms[fed] / n_eff[fed], 1e-10, 1.0 - 1e-12),
-                                    d, cfg.kappa_cap)
+        # Each solve starts from the last iterate and A_d there (ads, NaN at the cap).
+        kappas[fed], ads[fed] = _kappa_newton(
+            np.clip(norms[fed] / n_eff[fed], 1e-10, 1.0 - 1e-12), d, cfg.kappa_cap,
+            kappas[fed], ads[fed])
         weights[fed] = n_eff[fed] / n
         if not fed.all():
             # Starved components restart at their restart's worst-explained point.
@@ -237,8 +273,8 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
         weights /= weights.sum(axis=1, keepdims=True)
         del logp, resp, shifted  # free the n x k arrays before the next E-step
         # The converged restarts leave only now: their M-step above is discarded.
-        live, prev_ll, mus, kappas, weights = (
-            v[~done] for v in (live, prev_ll, mus, kappas, weights))
+        live, prev_ll, mus, kappas, ads, weights = (
+            v[~done] for v in (live, prev_ll, mus, kappas, ads, weights))
         if live.size == 0:
             break
     leave(np.ones(live.size, dtype=bool), False)

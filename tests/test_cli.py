@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import vmfgeom
 from vmfgeom import VmfMixture, VmfParams, l2_distance
 from vmfgeom.cli import main
+from vmfgeom.core import MAX_SAMPLE_ENTRIES
 from vmfgeom.formats import read_mixture, read_samples, write_mixture
 from vmfgeom.geometry import MAX_PAIRWISE_LAWS
 
@@ -26,6 +27,16 @@ def run_cli(*args):
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(vmfgeom.__file__))}
     return subprocess.run([sys.executable, "-m", "vmfgeom.cli", *args],
                           capture_output=True, text=True, env=env)
+
+
+# The CLI in a child that first caps its own address space at 1 GB, so an
+# oversized allocation fails there (MemoryError) instead of taking the memory.
+_UNDER_1GB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from vmfgeom.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def write_single(path, mu, kappa):
@@ -232,6 +243,18 @@ class TestSampleAndFit:
         main(["sample", str(mix), "--n", "50", "--seed", "7", "-o", str(a)])
         main(["sample", str(mix), "--n", "50", "--seed", "7", "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("n", [10_000_000_000_000, MAX_SAMPLE_ENTRIES // 3 + 1])
+    def test_huge_n_refused_before_allocating(self, tmp_path, n):
+        # Just past the cap at d = 3, the draw alone would need more than 1 GB.
+        one = write_single(tmp_path / "one.json", [1.0, 0.0, 0.0], 2.0)
+        out = tmp_path / "s.csv"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(vmfgeom.__file__))}
+        run = subprocess.run([sys.executable, "-c", _UNDER_1GB, "sample", one, "--n", str(n),
+                              "-o", str(out)], capture_output=True, text=True, env=env)
+        assert run.returncode == 2
+        assert run.stderr == f"error: n * d = {3 * n} exceeds the sampling limit of {MAX_SAMPLE_ENTRIES}\n"
+        assert not out.exists()
 
     def test_fit_k_too_large_exit_2(self, tmp_path):
         csv = tmp_path / "tiny.csv"

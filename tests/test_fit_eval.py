@@ -23,23 +23,40 @@ from vmfgeom.rng import substream
 mp.mp.dps = 40
 
 
-def kappa_mle_reference(r_bar, d, kappa_cap):
-    """The scalar Newton loop, one concentration at a time."""
-    kappa = min(max(r_bar * (d - r_bar * r_bar) / (1.0 - r_bar * r_bar), 1e-12), kappa_cap)
-    for _ in range(25):
-        a = mean_resultant_ratio(d, kappa)
+def kappa_mle_reference(r_bar, d, kappa_cap, kappa=None, a=math.nan):
+    """The scalar guarded Halley loop, one concentration at a time, from
+    kappa (with A_d there, if known, in a) if it lies within 50 % of
+    Banerjee's start, else from that start.
+    Returns (kappa, A_d at kappa, NaN at the cap)."""
+    cold = min(max(r_bar * (d - r_bar * r_bar) / (1.0 - r_bar * r_bar), 1e-12), kappa_cap)
+    if kappa is None or abs(kappa - cold) > 0.5 * cold:
+        kappa, a = cold, math.nan
+    for steps in range(26):
+        if math.isnan(a):
+            a = mean_resultant_ratio(d, kappa)
         resid = a - r_bar
         if abs(resid) < 1e-10:
-            break
-        step = resid / (1.0 - a * a - (d - 1.0) * a / kappa)
+            return kappa, a
+        if steps == 25:
+            raise RuntimeError("no convergence in 25 steps")
+        if kappa > 1e6 * math.sqrt(d):
+            c1, c2 = (d - 1.0) / 2.0, (d - 1.0) * (d - 3.0) / 8.0
+            slope = (c1 - 2.0 * c2 / kappa) / (kappa * kappa)
+            curve = (6.0 * c2 / kappa - 2.0 * c1) / (kappa * kappa * kappa)
+        else:
+            slope = 1.0 - a * a - (d - 1.0) * a / kappa
+            curve = -2.0 * a * slope - (d - 1.0) * (slope * kappa - a) / (kappa * kappa)
+        if abs(resid * curve) < slope * slope:
+            step = resid * slope / (slope * slope - 0.5 * resid * curve)
+        else:
+            step = resid / slope
         nxt = kappa - step
         while nxt <= 0.0:
             step *= 0.5
             nxt = kappa - step
-        kappa = nxt
-        if kappa >= kappa_cap:
-            return kappa_cap
-    return min(kappa, kappa_cap)
+        if nxt >= kappa_cap:
+            return kappa_cap, math.nan
+        kappa, a = nxt, math.nan
 
 
 def em_reference(X, cfg, rng):
@@ -50,7 +67,7 @@ def em_reference(X, cfg, rng):
     k = cfg.k
     seeds = _seed_directions(X, k, rng)
     assign = np.argmax(X @ seeds.T, axis=1)
-    mus, kappas, weights = np.empty((k, d)), np.empty(k), np.empty(k)
+    mus, kappas, ads, weights = np.empty((k, d)), np.empty(k), np.empty(k), np.empty(k)
     for j in range(k):
         members = np.nonzero(assign == j)[0]
         if members.size == 0:
@@ -59,7 +76,7 @@ def em_reference(X, cfg, rng):
         norm = float(np.linalg.norm(resultant))
         mus[j] = resultant / norm if norm > 0 else seeds[j]
         r_bar = min(max(norm / members.size, 1e-10), 1.0 - 1e-12) if norm > 0 else 0.5
-        kappas[j] = kappa_mle_reference(r_bar, d, cfg.kappa_cap)
+        kappas[j], ads[j] = kappa_mle_reference(r_bar, d, cfg.kappa_cap)
         weights[j] = members.size / n
     weights /= weights.sum()
     prev_ll, reseeds, subnormals, converged = -math.inf, 0, 0, False
@@ -84,8 +101,10 @@ def em_reference(X, cfg, rng):
                 resultant = resp[:, j] @ X
                 norm = float(np.linalg.norm(resultant))
                 mus[j] = resultant / norm
-                kappas[j] = kappa_mle_reference(min(max(norm / n_eff[j], 1e-10), 1.0 - 1e-12),
-                                                d, cfg.kappa_cap)
+                # Warm start: the last iterate and A_d there.
+                kappas[j], ads[j] = kappa_mle_reference(
+                    min(max(norm / n_eff[j], 1e-10), 1.0 - 1e-12), d, cfg.kappa_cap,
+                    kappas[j], ads[j])
                 weights[j] = n_eff[j] / n
         weights /= weights.sum()
     mixture = VmfMixture(components=tuple(VmfParams(mu=m, kappa=c) for m, c in zip(mus, kappas)),
@@ -103,7 +122,7 @@ def em_once_reference(X, cfg, rng):
     seeds = _seed_directions(X, k, rng)
     assign = np.argmax(X @ seeds.T, axis=1)
     mus = np.empty((k, d))
-    kappas = np.empty(k)
+    r_bars = np.empty(k)
     weights = np.empty(k)
     for j in range(k):
         members = np.nonzero(assign == j)[0]
@@ -112,9 +131,9 @@ def em_once_reference(X, cfg, rng):
         resultant = X[members].sum(axis=0)
         norm = float(np.linalg.norm(resultant))
         mus[j] = resultant / norm if norm > 0 else seeds[j]
-        r_bar = min(max(norm / members.size, 1e-10), 1.0 - 1e-12) if norm > 0 else 0.5
-        kappas[j] = kappa_mle(r_bar, d, cfg.kappa_cap)
+        r_bars[j] = min(max(norm / members.size, 1e-10), 1.0 - 1e-12) if norm > 0 else 0.5
         weights[j] = members.size / n
+    kappas, ads = _kappa_newton(r_bars, d, cfg.kappa_cap)
 
     weights /= weights.sum()
     prev_ll = -math.inf
@@ -143,8 +162,8 @@ def em_once_reference(X, cfg, rng):
         norms = np.linalg.norm(resultants, axis=1)
         fed = n_eff >= 1.0
         mus[fed] = resultants[fed] / norms[fed, None]
-        kappas[fed] = _kappa_newton(np.clip(norms[fed] / n_eff[fed], 1e-10, 1.0 - 1e-12),
-                                    d, cfg.kappa_cap)
+        kappas[fed], ads[fed] = _kappa_newton(np.clip(norms[fed] / n_eff[fed], 1e-10, 1.0 - 1e-12),
+                                              d, cfg.kappa_cap, kappas[fed], ads[fed])
         weights[fed] = n_eff[fed] / n
         if not fed.all():
             mus[~fed] = X[np.argmin(resp.max(axis=1))]
@@ -209,14 +228,24 @@ def astuple_fit(fit):
 
 class TestArrayEm:
     def test_newton_matches_scalar_loop(self):
-        # Bit for bit: each element takes the scalar loop's steps, stop and cap.
+        # Bit for bit: each element takes the scalar loop's steps, stop and cap,
+        # from Banerjee's start and from warm starts with or without A_d there.
         # Targets up to 1e12, past ive's range (about 1.09e9).
         for d in (2, 3, 768):
             r = mean_resultant_ratio(d, np.geomspace(1e-6, 1e12, 60))
             for cap in (1e5, 1e12):
-                want = [kappa_mle_reference(float(v), d, cap) for v in r]
-                assert np.array_equal(_kappa_newton(r, d, cap), want)
-                assert [kappa_mle(float(v), d, cap) for v in r] == want
+                want = np.array([kappa_mle_reference(float(v), d, cap) for v in r])
+                kappa, a = _kappa_newton(r, d, cap)
+                assert np.array_equal(kappa, want[:, 0])
+                assert np.array_equal(a, want[:, 1], equal_nan=True)
+                assert [kappa_mle(float(v), d, cap) for v in r] == want[:, 0].tolist()
+                start = np.roll(kappa, 7)  # other elements' roots as warm starts
+                warm = np.array([kappa_mle_reference(float(v), d, cap, float(s))
+                                 for v, s in zip(r, start)])
+                for known in (None, mean_resultant_ratio(d, start)):
+                    got = _kappa_newton(r, d, cap, start, known)
+                    assert np.array_equal(got[0], warm[:, 0])
+                    assert np.array_equal(got[1], warm[:, 1], equal_nan=True)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_em_matches_component_loop(self, seed):
@@ -367,6 +396,35 @@ class TestKappaMle:
 
     def test_cap_applies(self):
         assert kappa_mle(1.0 - 1e-13, 768, kappa_cap=1e5) == 1e5
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 100, 768])
+    @pytest.mark.parametrize("cap", [1e5, 1e12])
+    def test_solve_converges_or_caps(self, d, cap):
+        # The contract, cold and warm-started far below and far above the
+        # root, at the edges of the band around Banerjee's estimate where a
+        # warm start is kept, and from a fixed grid: every element ends
+        # within 1e-10 of its target by a fresh A_d, or at the cap, and the
+        # A_d returned is that at the returned kappa.
+        r = np.concatenate([np.geomspace(1e-10, 0.5, 40), 1.0 - np.geomspace(0.5, 1e-12, 40)[1:]])
+        root = _kappa_newton(r, d, cap)[0]
+        cold = np.minimum(r * (d - r * r) / (1.0 - r * r), cap)
+        starts = [None, root * 1e-6, root * 1e6, cold * 0.5, cold * 1.5]
+        starts += [np.full(r.size, k) for k in np.geomspace(1e-12, cap, 12)]
+        for start in starts:
+            start = None if start is None else np.minimum(start, cap)
+            kappa, a = _kappa_newton(r, d, cap, start)
+            fresh = mean_resultant_ratio(d, kappa)
+            at_cap = kappa == cap
+            assert np.all((np.abs(fresh - r) < 1e-10) | at_cap)
+            assert np.array_equal(a[~np.isnan(a)], fresh[~np.isnan(a)])
+            assert np.all(at_cap[np.isnan(a)])
+
+    def test_exhausted_solve_raises(self, monkeypatch):
+        # An A_d that never reaches the target: after 25 steps the solve
+        # raises, naming d, r_bar and kappa, instead of returning its last kappa.
+        monkeypatch.setattr(fit_eval, "mean_resultant_ratio", lambda d, kappa: np.full_like(kappa, 0.5))
+        with pytest.raises(RuntimeError, match=r"d=3, r_bar=0\.4, kappa=[0-9.e+-]+$"):
+            _kappa_newton(np.array([0.4]), 3, 1e5)
 
 
 class TestBic:
