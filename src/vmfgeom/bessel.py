@@ -45,79 +45,87 @@ _SERIES_BLOCK = 4096  # arguments per table of terms: 200 x 4096 float64 is 6.5 
 
 def _log_iv_series(nu: float, x):
     """Power series for log I_nu(x), evaluated entirely in the log domain,
-    elementwise over an array x, a block of arguments at a time.
+    elementwise over an array x > 0, a block of arguments at a time.
 
     Accurate where the series converges quickly (x^2/4 small relative to nu),
-    which is exactly the regime where scipy's ive underflows to zero. A float
-    x takes math.log (numpy's log may round an ulp away) and gives a float.
+    which is exactly the regime where scipy's ive underflows to zero.
     """
     m = np.arange(_SERIES_TERMS)
-    log_x = np.reshape(np.log(x) if np.ndim(x) else math.log(x), (-1, 1))
+    log_x = np.reshape(np.log(x), (-1, 1))
     blocks = np.split(log_x, range(_SERIES_BLOCK, len(log_x), _SERIES_BLOCK))
     out = np.concatenate([logsumexp((2 * m + nu) * (b - math.log(2.0)) - gammaln(m + 1.0)
                                     - gammaln(m + 1.0 + nu), axis=1) for b in blocks])
-    return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
+    return out.reshape(np.shape(x))
 
 
-def _log_iv_large_x(nu: float, x: float) -> float:
-    """Large-argument expansion log I_nu(x) ~ x - log(2 pi x)/2 + corrections.
+def log_ive(nu: float, x) -> np.ndarray:
+    """log I_nu(x) - x, the log of the exponentially scaled Bessel function,
+    elementwise over an array x >= 0; finite across the float64 range.
 
-    Used only where ive itself returns NaN/inf (very large x); two correction
-    terms keep relative error below 1e-12 for x >> nu^2.
+    The log of scipy's ive where ive is a normal float; the log-domain power
+    series where ive underflows (small x, large nu); and where ive fails
+    (NaN above x ~ 1.09e9), the large-argument expansion (DLMF 10.40.1)
+    (2 pi x)^(-1/2) (1 - (mu-1)/(8x) + (mu-1)(mu-9)/(2 (8x)^2)) with
+    mu = 4 nu^2, whose next term is below 1e-12 relative for x >> nu^2.
+    x = 0 gives log I_nu(0) exactly, and x = inf gives NaN.
     """
-    mu = 4.0 * nu * nu
-    c1 = -(mu - 1.0) / (8.0 * x)
-    c2 = (mu - 1.0) * (mu - 9.0) / (2.0 * (8.0 * x) ** 2)
-    return x - 0.5 * (_LOG_2PI + math.log(x)) + math.log1p(c1 + c2)
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        y = ive(nu, x)
+        out = np.log(y)
+        big = np.isnan(y) & (x < np.inf)
+        if big.any():  # (8x)^2 may overflow to inf, leaving c2 = 0
+            xb, mu = x[big], 4.0 * nu * nu
+            c1 = -(mu - 1.0) / (8.0 * xb)
+            c2 = (mu - 1.0) * (mu - 9.0) / (2.0 * (8.0 * xb) ** 2)
+            out[big] = np.log1p(c1 + c2) - 0.5 * (_LOG_2PI + np.log(xb))
+    under = (y < _TINY) & (x > 0.0)
+    if under.any():
+        out[under] = _log_iv_series(nu, x[under]) - x[under]
+    return out
 
 
 def log_bessel_i(nu: float, x: float) -> float:
-    """log I_nu(x) for nu >= 0, x > 0, finite across the float64 range.
-
-    Branches: scipy's exponentially scaled ive where it produces a usable
-    value, a log-domain power series where ive underflows (small x, large
-    nu), and a large-argument expansion where ive fails outright.
-    """
+    """log I_nu(x) for nu >= 0 and one finite x > 0: log_ive(nu, x) + x."""
     if not (x > 0.0) or not math.isfinite(x):
         raise ValueError(f"log_bessel_i requires finite x > 0, got {x}")
     if nu < 0.0:
         raise ValueError(f"log_bessel_i requires nu >= 0, got {nu}")
-    y = float(ive(nu, x))
-    if y > 0.0 and math.isfinite(y):
-        return math.log(y) + x
-    if y == 0.0:
-        return _log_iv_series(nu, x)
-    return _log_iv_large_x(nu, x)
+    return float(log_ive(nu, np.array([x]))[0]) + x
 
 
-def log_bessel_i_ratio(nu: float, x: float) -> float:
-    """Bessel ratio I_{nu+1}(x) / I_nu(x) via Perron's continued fraction.
-
-    Evaluated with the modified Lentz algorithm; independent of log_bessel_i
-    so ratio-based estimates do not inherit its branch structure. The ratio
-    lies in (0, 1) for x > 0 and is monotone increasing in x.
-    """
-    if not (x > 0.0) or not math.isfinite(x):
-        raise ValueError(f"bessel ratio requires finite x > 0, got {x}")
+def _ratio_fraction(nu: float, x: np.ndarray) -> np.ndarray:
+    """I_{nu+1}(x) / I_nu(x) by Perron's continued fraction (modified Lentz),
+    elementwise over a 1-d array of finite x > 0, each element iterating until
+    its own step is within 1e-15 of 1. Independent of log_ive, so A_d does
+    not inherit its branch structure."""
+    bad = ~((x > 0.0) & (x < np.inf))
+    if bad.any():
+        raise ValueError(f"bessel ratio requires finite x > 0, got {x[bad][0]}")
     # R_nu = 1 / (b_1 + 1/(b_2 + ...)) with b_k = 2(nu + k)/x.
     tiny = 1e-300
-    f = tiny
-    c = f
-    d = 0.0
+    out, live = np.empty(x.size), np.arange(x.size)
+    f, c, d = np.full(x.size, tiny), np.full(x.size, tiny), np.zeros(x.size)
     for k in range(1, 20000):
-        b = 2.0 * (nu + k) / x
+        b = 2.0 * (nu + k) / x[live]
         d = b + d
-        if d == 0.0:
-            d = tiny
+        d[d == 0.0] = tiny
         c = b + 1.0 / c
-        if c == 0.0:
-            c = tiny
+        c[c == 0.0] = tiny
         d = 1.0 / d
         delta = c * d
         f *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return f
-    raise RuntimeError(f"Bessel ratio continued fraction stalled at nu={nu}, x={x}")
+        done = np.abs(delta - 1.0) < 1e-15
+        out[live[done]] = f[done]
+        live, f, c, d = live[~done], f[~done], c[~done], d[~done]
+        if live.size == 0:
+            return out
+    raise RuntimeError(f"Bessel ratio continued fraction stalled at nu={nu}, x={x[live[0]]}")
+
+
+def log_bessel_i_ratio(nu: float, x: float) -> float:
+    """I_{nu+1}(x) / I_nu(x) for one finite x > 0, by Perron's continued fraction."""
+    return float(_ratio_fraction(nu, np.array([float(x)]))[0])
 
 
 def mean_resultant_ratio(d: int, kappa):
@@ -146,5 +154,5 @@ def mean_resultant_ratio(d: int, kappa):
     kb = flat[big]
     out[big] = 1.0 - (d - 1.0) / (2.0 * kb) + (d - 1.0) * (d - 3.0) / (8.0 * kb) / kb
     if frac.any():
-        out[frac] = [log_bessel_i_ratio(nu, v) for v in flat[frac]]
+        out[frac] = _ratio_fraction(nu, flat[frac])
     return out.reshape(x.shape) if x.ndim else float(out[0])

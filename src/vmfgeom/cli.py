@@ -1,9 +1,10 @@
 """Command-line surface: one binary, one subcommand per operation.
 
 Exit codes: 0 on success, 2 on usage or input errors, 3 on numerical
-failures inside an algorithm (e.g. a reduction forced to merge antipodal
-components). Non-convergence of iterative fits is not a failure; it is
-reported through metadata with exit 0.
+failures inside an algorithm (a reduction forced to merge antipodal
+components, or a RuntimeError such as a failed concentration solve).
+Non-convergence of iterative fits is not a failure; it is reported through
+metadata with exit 0.
 """
 
 import argparse
@@ -229,6 +230,9 @@ def main(argv=None) -> int:
         except (ValueError, OSError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
+        except RuntimeError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 3
     return 0
 
 

@@ -10,11 +10,8 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from . import bessel
-from .bessel import _TINY, _log_iv_series, log_bessel_i
+from .bessel import _LOG_2PI, log_ive
 from .rng import substream
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 # Construction tolerates serialization round-off but rejects genuinely bad
 # input: vectors off unit norm (or weight sums off 1) by more than this
@@ -143,18 +140,15 @@ class SampleSet:
 
 
 def log_normalizing_constant(d: int, kappa: float) -> float:
-    """log C_d(kappa) = (d/2-1) log kappa - (d/2) log 2pi - log I_{d/2-1}(kappa).
-
-    Stays finite across the whole non-degenerate range, including d = 768
-    with kappa = 1e4, because the Bessel factor never leaves the log domain.
-    """
+    """log C_d(kappa) = (d/2-1) log kappa - (d/2) log 2pi - log I_{d/2-1}(kappa)
+    for one finite kappa > 0, as log_peak_density(d, kappa) - kappa: finite
+    for every such kappa, and bit for bit the array path's value."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     kappa = float(kappa)
     if not math.isfinite(kappa) or kappa <= 0.0:
         raise ValueError(f"kappa must be finite and > 0, got {kappa}")
-    nu = d / 2.0 - 1.0
-    return nu * math.log(kappa) - (d / 2.0) * _LOG_2PI - log_bessel_i(nu, kappa)
+    return float(log_peak_density(d, np.array([kappa]))[0]) - kappa
 
 
 def log_peak_density(d: int, kappa) -> np.ndarray:
@@ -163,24 +157,17 @@ def log_peak_density(d: int, kappa) -> np.ndarray:
 
     Kept apart from the exp(kappa) factor, this keeps its relative accuracy
     at large kappa, where log C_d(kappa) alone carries an absolute rounding
-    error of about eps * kappa. Uses scipy's ive wherever it returns a normal
-    float and the log-domain power series where ive underflows (small kappa
-    at high d). kappa = 0 gives log C_d(0) = -log |S^{d-1}|, the uniform
-    density. The result is NaN above kappa ~ 1.09e9, where ive stops, and
-    for a non-finite kappa.
+    error of about eps * kappa. The Bessel factor is bessel.log_ive, finite
+    for every finite kappa. kappa = 0 gives log C_d(0) = -log |S^{d-1}|, the
+    uniform density, and a non-finite kappa gives NaN.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     kappa = np.asarray(kappa, dtype=np.float64)
     nu = d / 2.0 - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = bessel.ive(nu, kappa)
-        base = nu * np.log(kappa) - (d / 2.0) * _LOG_2PI
-        out = base - np.log(y)
+        out = nu * np.log(kappa) - (d / 2.0) * _LOG_2PI - log_ive(nu, kappa)
     out[kappa == 0.0] = math.lgamma(d / 2.0) - math.log(2.0) - (d / 2.0) * math.log(math.pi)
-    under = (kappa > 0.0) & (y < _TINY)
-    if under.any():
-        out[under] = base[under] - _log_iv_series(nu, kappa[under]) + kappa[under]
     return out
 
 

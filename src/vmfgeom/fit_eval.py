@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import _TINY, logsumexp, mean_resultant_ratio
-from .core import SampleSet, VmfMixture, VmfParams, log_normalizing_constant, log_peak_density
+from .core import SampleSet, VmfMixture, VmfParams, log_peak_density
 from .rng import substream
 
 
@@ -138,12 +138,9 @@ def bic(log_likelihood: float, k: int, d: int, n: int) -> float:
 def _component_log_pdfs(points, mus, kappas, weights):
     """n x k matrix of log(w_j f_j(x_i)), one matmul for all components, or
     r such matrices for r stacked mixtures ((r, k, d) means). log C_d comes
-    from one ive call for all components; the scalar path serves only
-    concentrations beyond ive's range (about 1.09e9)."""
+    from one log_peak_density call for all components."""
     d = points.shape[1]
     log_c = log_peak_density(d, kappas) - kappas
-    beyond = ~np.isfinite(log_c)
-    log_c[beyond] = [log_normalizing_constant(d, k) for k in kappas[beyond]]
     out = points @ np.swapaxes(mus, -1, -2)
     out *= kappas[..., None, :]
     out += (np.log(weights) + log_c)[..., None, :]

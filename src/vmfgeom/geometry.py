@@ -42,6 +42,7 @@ MAX_PAIRWISE_LAWS = 5_000
 # f_q^2): 32 eps, the multiple that tests/test_bessel.py's range grid asserts.
 _L2_ROUNDING = 32.0 * np.finfo(np.float64).eps
 _LOG_MAX = math.log(np.finfo(np.float64).max)
+_MC_CHUNK = 1 << 20  # floats per draw of l2_distance_mc's sphere points (8 MB)
 
 
 class AntipodalMeansError(ValueError):
@@ -207,7 +208,8 @@ def l2_distance_mc(p: VmfParams, q: VmfParams, seed: int, rel_tol: float = 1e-3,
     Uniform sphere draws start at 2^10 and double, reusing every previous
     draw, until the running estimate's relative change drops below rel_tol
     (or max_draws is reached). Symmetric in (p, q) by construction: the
-    integrand is symmetric and both orders consume identical draws.
+    integrand is symmetric and both orders consume identical draws. A batch
+    is drawn _MC_CHUNK floats at a time, so memory is bounded at any d.
     """
     if p.d != q.d:
         raise ValueError(f"dimension mismatch: {p.d} vs {q.d}")
@@ -221,14 +223,16 @@ def l2_distance_mc(p: VmfParams, q: VmfParams, seed: int, rel_tol: float = 1e-3,
     n_total = 0
     batch = 2 ** 10
     prev = None
+    rows = max(1, _MC_CHUNK // d)
     while True:
-        x = _uniform_sphere(rng, batch, d)
-        fp = np.exp(log_cp + p.kappa * (x @ p.mu))
-        fq = np.exp(log_cq + q.kappa * (x @ q.mu))
-        sq = (fp - fq) ** 2
-        if not np.all(np.isfinite(sq)):
-            raise ValueError("density overflow: parameters outside float64 range")
-        total += float(sq.sum())
+        for start in range(0, batch, rows):
+            x = _uniform_sphere(rng, min(rows, batch - start), d)
+            fp = np.exp(log_cp + p.kappa * (x @ p.mu))
+            fq = np.exp(log_cq + q.kappa * (x @ q.mu))
+            sq = (fp - fq) ** 2
+            if not np.all(np.isfinite(sq)):
+                raise ValueError("density overflow: parameters outside float64 range")
+            total += float(sq.sum())
         n_total += batch
         est = math.sqrt(math.exp(log_area) * total / n_total)
         if prev is not None:
@@ -250,10 +254,9 @@ def _l2_matrix(mus: np.ndarray, kappas: np.ndarray) -> np.ndarray:
     L2^2 is then a small multiple of eps (d + k_p + k_q) (int f_p^2 +
     int f_q^2): nearly equal laws lose relative accuracy to cancellation,
     and identical laws give exactly 0. Raises ValueError where a distance
-    is not a finite float64, where distinct laws have L2^2 within that
+    is not a finite float64, or where distinct laws have L2^2 within that
     error bound of 0 while the larger of their L2 norms (int f^2)^(1/2) is
-    past float64 (so at d = 768 for any two distinct laws), or where a
-    resultant concentration exceeds about 1.09e9.
+    past float64 (so at d = 768 for any two distinct laws).
     """
     n, d = mus.shape
     # Gram matrix summed one coordinate at a time, so each entry rounds the

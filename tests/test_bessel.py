@@ -20,10 +20,33 @@ def mp_log_iv(nu: float, x: float) -> float:
     return float(mp.log(mp.besseli(mp.mpf(nu), mp.mpf(x))))
 
 
+def ratio_fraction_scalar(nu: float, x: float) -> float:
+    """Reference: Perron's continued fraction for I_{nu+1}(x) / I_nu(x) on
+    one argument, by the modified Lentz algorithm in Python floats."""
+    tiny = 1e-300
+    f = c = tiny
+    d = 0.0
+    for k in range(1, 20000):
+        b = 2.0 * (nu + k) / x
+        d = b + d
+        if d == 0.0:
+            d = tiny
+        c = b + 1.0 / c
+        if c == 0.0:
+            c = tiny
+        d = 1.0 / d
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return f
+    raise RuntimeError("stalled")
+
+
 def log_iv_series_scalar(nu: float, x: float) -> float:
-    """Reference: the power series for one argument, as one 1-d logsumexp."""
+    """Reference: the power series for one argument, as one 1-d logsumexp,
+    with numpy's log of x as the array path takes it."""
     m = np.arange(_SERIES_TERMS)
-    log_terms = (2 * m + nu) * (math.log(x) - math.log(2.0)) \
+    log_terms = (2 * m + nu) * (np.log(x) - math.log(2.0)) \
         - gammaln(m + 1.0) - gammaln(m + 1.0 + nu)
     return float(logsumexp(log_terms))
 
@@ -35,7 +58,8 @@ class TestSeriesOnArrays:
 
     def test_scalar_path_matches_reference_exactly(self):
         assert len(self.GRID) > 300
-        # Where numpy's vectorised log rounds away from math.log (none on some CPUs).
+        # Also where numpy's vectorised log rounds away from math.log (none on
+        # some CPUs): the scalar path takes numpy's log, as the reference does.
         x = np.geomspace(1e-300, 50.0, 200_001)  # ive(383, x) underflows below about 52
         odd = [(383.0, float(v)) for v in x[np.log(x) != [math.log(v) for v in x]]]
         for nu, x in self.GRID + odd:
@@ -106,6 +130,18 @@ class TestRatio:
             assert all(0.0 < v < 1.0 for v in vals)
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_fraction_over_arrays_matches_scalar(self):
+        # Where ive underflows, A_d runs the continued fraction over the array,
+        # with the same arithmetic per element as the loop on Python floats.
+        kappas = np.geomspace(1e-6, 40.0, 50)
+        want = [ratio_fraction_scalar(383.0, float(k)) for k in kappas]
+        assert list(mean_resultant_ratio(768, kappas)) == want
+        assert [log_bessel_i_ratio(383.0, float(k)) for k in kappas] == want
+        assert [log_bessel_i_ratio(nu, 3.0) for nu in (0.0, 0.5, 49.0)] == \
+            [ratio_fraction_scalar(nu, 3.0) for nu in (0.0, 0.5, 49.0)]
+        with pytest.raises(RuntimeError, match="stalled"):
+            log_bessel_i_ratio(0.0, 1e8)  # needs more terms than the 20,000 allowed
+
     def test_ratio_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             log_bessel_i_ratio(1.0, 0.0)
@@ -163,6 +199,7 @@ class TestRangeGrid:
         assert np.all(np.isfinite(got)) and np.all(np.isfinite(peak))
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
         assert np.all(np.abs(peak - want_peak) <= 1e-14 * np.maximum(np.abs(want_peak), 1.0))
+        assert list(got) == list(peak - self.KAPPAS)
 
     def test_l2_matrix(self, oracle):
         # Closed form: L2^2 = int f_p^2 + int f_q^2 - 2 C(k_p) C(k_q) / C(|k_p mu_p + k_q mu_q|)
@@ -208,11 +245,21 @@ class TestRangeGrid:
         # Only the identical pairs are checked, and they give exactly 0.
         assert checked > 0 and (raised > 0) == (d == 768)
         assert d != 768 or checked == len(self.KAPPAS)
-        # Identical laws give exactly 0; a resultant past ive's range raises.
+        # Identical laws give exactly 0. A resultant past ive's range (about
+        # 1.2e9) gets a distance, except at d = 768, where the norms overflow.
         assert _l2_matrix(np.eye(d)[[0, 0]], np.array([5.0, 5.0]))[0, 1] == 0.0
-        with pytest.raises(ValueError):
-            _l2_matrix(np.stack([np.eye(d)[0], np.eye(d)[0] * math.cos(0.1) + np.eye(d)[1]
-                                 * math.sin(0.1)]), np.array([6e8, 6e8]))
+        mus = np.stack([np.eye(d)[0], np.eye(d)[0] * math.cos(0.1) + np.eye(d)[1] * math.sin(0.1)])
+        if d == 768:
+            with pytest.raises(ValueError):
+                _l2_matrix(mus, np.array([6e8, 6e8]))
+            return
+        got = _l2_matrix(mus, np.array([6e8, 6e8]))[0, 1]
+        with mp.workdps(50):
+            k = mp.mpf(6e8)
+            own = 2 * mp.exp(2 * log_c(k) - log_c(2 * k))
+            want = own - 2 * mp.exp(2 * log_c(k) - log_c(k * mp.sqrt(2 + 2 * mp.cos(0.1))))
+            bound = 32 * np.finfo(float).eps * (d + 1.2e9) * own
+            assert abs(mp.mpf(float(got)) ** 2 - want) <= bound
 
     @pytest.mark.parametrize("d", [2, 3, 10, 100, 768])
     def test_mean_resultant_ratio_beyond_ive(self, d):
@@ -227,6 +274,25 @@ class TestRangeGrid:
         assert np.all(np.abs(got - want) <= np.finfo(float).eps * np.array(want))
         assert np.all(np.diff(got) > 0.0) and np.all(got < 1.0)
         assert [mean_resultant_ratio(d, float(k)) for k in kappas] == list(got)
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 100, 768])
+    def test_log_bessel_beyond_ive(self, d):
+        # Above kappa ~ 1.09e9 ive returns NaN; the large-argument expansion
+        # takes over. log C_d + kappa cancels log10(kappa) digits of the
+        # oracle, which therefore carries that many plus 30.
+        kappas = np.array([1.2e9, 1e12, 1e100, 1e300])
+        nu = d / 2.0 - 1.0
+        got_i = [log_bessel_i(nu, float(k)) for k in kappas]
+        got_c = [log_normalizing_constant(d, float(k)) for k in kappas]
+        peak = log_peak_density(d, kappas)
+        for k, gi, gc, gp in zip(kappas, got_i, got_c, peak):
+            with mp.workdps(int(math.log10(k)) + 30):
+                x = mp.mpf(float(k))
+                log_i = mp.log(mp.besseli(mp.mpf(d) / 2 - 1, x))
+                log_c = nu * mp.log(x) - mp.mpf(d) / 2 * mp.log(2 * mp.pi) - log_i
+                for got, want in ((gi, log_i), (gc, log_c), (gp, log_c + x)):
+                    assert abs(mp.mpf(float(got)) - want) <= 1e-14 * max(abs(want), 1)
+        assert got_c == list(peak - kappas)
 
     def test_kappa_mle_near_one(self):
         # r = 1 - 1e-12 at d = 2 lies at kappa ~ 5e11, past ive's range.

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import vmfgeom
-from vmfgeom import VmfMixture, VmfParams, l2_distance
+from vmfgeom import VmfMixture, VmfParams, fit_eval, l2_distance
 from vmfgeom.cli import main
 from vmfgeom.core import MAX_SAMPLE_ENTRIES
 from vmfgeom.formats import read_mixture, read_samples, write_mixture
@@ -255,6 +255,20 @@ class TestSampleAndFit:
         assert run.returncode == 2
         assert run.stderr == f"error: n * d = {3 * n} exceeds the sampling limit of {MAX_SAMPLE_ENTRIES}\n"
         assert not out.exists()
+
+    def test_failed_concentration_solve_exit_3(self, tmp_path, capsys, monkeypatch):
+        # A constant A_d never meets the mean resultant lengths, so the
+        # concentration solve raises RuntimeError: one error line, exit 3.
+        monkeypatch.setattr(fit_eval, "mean_resultant_ratio",
+                            lambda d, kappa: np.full(np.shape(kappa), 0.99))
+        csv = tmp_path / "x.csv"
+        np.savetxt(csv, np.repeat(np.eye(3), 4, axis=0), delimiter=",")
+        code = main(["fit", str(csv), "--k", "2", "--restarts", "1",
+                     "-o", str(tmp_path / "fit.json"), "--meta", str(tmp_path / "meta.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: concentration solve did not converge")
+        assert err.count("\n") == 1
 
     def test_fit_k_too_large_exit_2(self, tmp_path):
         csv = tmp_path / "tiny.csv"

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vmfgeom import (AntipodalMeansError, DistanceMatrix, TangentVector,
-                     VmfParams, exp_map, geodesic_distance, l2_distance,
-                     l2_distance_mc, log_map, log_normalizing_constant,
+                     VmfParams, exp_map, geodesic_distance, geometry,
+                     l2_distance, l2_distance_mc, log_map, log_normalizing_constant,
                      pairwise_matrix, wl_distance, wl_interpolate)
 from vmfgeom.core import log_peak_density
 from vmfgeom.geometry import MAX_PAIRWISE_LAWS
@@ -245,6 +245,26 @@ class TestL2MonteCarlo:
         assert l2_distance_mc(p, q, seed=4, rel_tol=1e-3) == \
             l2_distance_mc(p, q, seed=4, rel_tol=1e-3)
 
+    def test_draws_in_bounded_chunks(self, monkeypatch):
+        # At the default max_draws the doubling schedule reaches a batch of
+        # 2^22 points, drawn at most 2^20 floats at a time.
+        sizes, draw = [], geometry._uniform_sphere
+
+        def recording(rng, n, d):
+            sizes.append(n * d)
+            return draw(rng, n, d)
+
+        monkeypatch.setattr(geometry, "_uniform_sphere", recording)
+        p = VmfParams(mu=[1.0, 0.0], kappa=1.0)
+        q = VmfParams(mu=[0.0, 1.0], kappa=3.0)
+        l2_distance_mc(p, q, seed=4, rel_tol=0.0, max_draws=2 ** 23)
+        assert max(sizes) <= 2 ** 20 and sum(sizes) == 2 * 2 ** 23
+        # Smaller chunks take the same stream: only the summation order moves.
+        whole = l2_distance_mc(p, q, seed=4, rel_tol=0.0, max_draws=2 ** 16)
+        monkeypatch.setattr(geometry, "_MC_CHUNK", 2 ** 11)
+        assert l2_distance_mc(p, q, seed=4, rel_tol=0.0, max_draws=2 ** 16) == \
+            pytest.approx(whole, rel=1e-13)
+
 
 def mp_l2_squared(p, q):
     """(L2^2, int f_p^2 + int f_q^2) of two laws at 50 digits, from the
@@ -378,8 +398,17 @@ class TestLogPeakDensity:
         log_area = math.log(2.0) + (d / 2.0) * math.log(math.pi) - math.lgamma(d / 2.0)
         assert log_peak_density(d, np.array([0.0]))[0] == pytest.approx(-log_area, rel=1e-14)
 
-    def test_beyond_ive_range_is_nan(self):
-        assert np.isnan(log_peak_density(3, np.array([1e10, np.inf]))).all()
+    def test_beyond_ive_range_matches_mpmath(self):
+        # Past kappa ~ 1.09e9, where ive returns NaN; only kappa = inf is NaN.
+        kappas = np.array([1.2e9, 1e10, 1e12])
+        got = log_peak_density(3, np.append(kappas, np.inf))
+        assert np.isnan(got[-1])
+        with mpmath.workdps(50):
+            for k, value in zip(kappas, got):
+                x = mpmath.mpf(float(k))
+                want = (0.5 * mpmath.log(x) - 1.5 * mpmath.log(2 * mpmath.pi)
+                        - mpmath.log(mpmath.besseli(0.5, x)) + x)
+                assert abs(mpmath.mpf(float(value)) - want) <= 1e-14 * abs(want)
 
 
 class TestPairwiseMatrix:

@@ -110,8 +110,8 @@ print(json.dumps([len(calls), fit_eval.logsumexp is counting,
 
 def test_first_call_binds_scipy_in_bessel():
     # A stand-in's first call puts scipy's function in its place in bessel,
-    # so bessel's own calls (and core's, through bessel.ive) skip it later;
-    # gammaln, not called here, stays the stand-in. A wrapper that holds the
+    # so bessel's own later calls skip it; gammaln, which only the series
+    # branch calls and kappa = 2 does not reach, stays the stand-in. A wrapper that holds the
     # stand-in stays bound and sees every call.
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     run = subprocess.run([sys.executable, "-c", _WRAPPED], capture_output=True, text=True,
@@ -123,14 +123,20 @@ def test_first_call_binds_scipy_in_bessel():
 
 
 def test_only_bessel_imports_scipy():
-    importers = set()
+    # Nor does any other module call ive or gammaln, so log I_nu keeps one
+    # implementation, bessel.log_ive.
+    importers, callers = set(), set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
                      [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             if any(n.partition(".")[0] == "scipy" for n in names):
                 importers.add(path.name)
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) in ("ive", "gammaln"):
+                callers.add(path.name)
     assert importers == {"bessel.py"}
+    assert callers == {"bessel.py"}
 
 
 def test_traced_names_resolve():
