@@ -46,7 +46,7 @@ def _cmd_dist(args) -> None:
 
 def _cmd_barycenter(args) -> None:
     m = _load_mixture(args.mixture)
-    cfg = BarycenterConfig(step_size=args.step_size, max_iters=args.max_iters, tol=args.tol)
+    cfg = BarycenterConfig(max_iters=args.max_iters, tol=args.tol)
     try:
         result = barycenter(m.components, m.weights, cfg)
     except (AntipodalMeansError, ValueError) as err:
@@ -157,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mixture")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--meta", help="optional diagnostics JSON")
-    p.add_argument("--step-size", type=float, default=0.25)
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_barycenter)

@@ -97,16 +97,18 @@ def write_samples(path, s: SampleSet, header: bool = False) -> None:
 
 def read_samples(path, header: bool = False) -> SampleSet:
     """Read a sample CSV; a trailing label column is detected by checking
-    whether the rows are unit-norm with or without their last column."""
+    whether the rows are unit-norm without or with their last column. Both
+    fit only where that column is all zeros (`sample` of one law), so the
+    labelled reading goes first."""
     raw = _read_csv(path, skiprows=1 if header else 0)
-    norms_all = np.sqrt(np.einsum("ij,ij->i", raw, raw))  # no n x d temporary
-    if np.all(np.abs(norms_all - 1.0) <= 1e-6):
-        return SampleSet(points=raw, _owned=True)
     # The labelled points stay a view of the parsed array, rows d + 1 apart.
-    coords, last = raw[:, :-1], raw[:, -1]
-    if raw.shape[1] >= 3 and np.all(last == np.round(last)) \
-            and np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", coords, coords)) - 1.0) <= 1e-6):
-        return SampleSet(points=coords, labels=last.astype(np.int64), _owned=True)
+    readings = [(raw, None)]
+    if raw.shape[1] >= 3 and np.all(raw[:, -1] == np.round(raw[:, -1])):
+        readings.insert(0, (raw[:, :-1], raw[:, -1].astype(np.int64)))
+    for points, labels in readings:
+        norms = np.sqrt(np.einsum("ij,ij->i", points, points))  # no n x d temporary
+        if np.all(np.abs(norms - 1.0) <= 1e-6):
+            return SampleSet(points=points, labels=labels, _owned=True)
     raise ValueError("rows are not unit-norm, with or without a trailing label column")
 
 

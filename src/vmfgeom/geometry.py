@@ -156,7 +156,7 @@ def _exp(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def log_map(x, y) -> TangentVector:
     """Inverse of exp_map: tangent vector at x pointing to y with length
-    geodesic_distance(x, y). Undefined (raises) for antipodal inputs."""
+    the angle between them. Undefined (raises) for antipodal inputs."""
     x = _as_unit_vector(x, "x")
     y = _as_unit_vector(y, "y")
     _check_same_dim(x, y)
@@ -169,9 +169,11 @@ def _log(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise AntipodalMeansError("log map is not unique for antipodal points")
     proj = y - cos * x
     norm = float(np.linalg.norm(proj))
-    if norm == 0.0 or cos >= 1.0:
+    if norm == 0.0:
         return np.zeros_like(x)
-    return (math.acos(cos) / norm) * proj
+    # Unlike acos of the cosine, this angle keeps its relative accuracy near 0.
+    angle = 2.0 * math.atan2(float(np.linalg.norm(x - y)), float(np.linalg.norm(x + y)))
+    return (angle / norm) * proj
 
 
 def wl_interpolate(p: VmfParams, q: VmfParams, t: float) -> VmfParams:

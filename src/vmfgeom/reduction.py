@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import BarycenterConfig, barycenter
+from .barycenter import barycenter
 from .core import VmfMixture, VmfParams
 from .geometry import AntipodalMeansError, DistanceMatrix, _wl_matrix, pairwise_matrix
 from .rng import substream
@@ -62,7 +62,7 @@ class Partition:
         return int(self.assignment.max()) + 1
 
 
-def _merge_group(comps, weights, indices, cfg: BarycenterConfig):
+def _merge_group(comps, weights, indices):
     """Barycenter of the components at the given indices under their
     renormalized weights; returns (params, total weight)."""
     group = [comps[i] for i in indices]
@@ -71,14 +71,14 @@ def _merge_group(comps, weights, indices, cfg: BarycenterConfig):
     if len(group) == 1:
         return group[0], total
     try:
-        res = barycenter(group, w / total, cfg)
+        res = barycenter(group, w / total)
     except (AntipodalMeansError, ValueError) as err:
         raise AntipodalMeansError(
             f"cannot merge components {tuple(indices)}: {err}") from err
     return res.params, total
 
 
-def greedy_reduce(m: VmfMixture, target_k: int, cfg: BarycenterConfig = BarycenterConfig()):
+def greedy_reduce(m: VmfMixture, target_k: int):
     """Iteratively merge the WL-closest pair until target_k components remain.
 
     One n x n buffer holds the distances (inf on the diagonal and for merged
@@ -105,7 +105,7 @@ def greedy_reduce(m: VmfMixture, target_k: int, cfg: BarycenterConfig = Barycent
     for step in range(n - target_k):
         i = _argbest(near, birth)
         j = _argbest(dist[i], birth)  # so i precedes j in the live list
-        params, weight = _merge_group(comps, weights, (i, j), cfg)
+        params, weight = _merge_group(comps, weights, (i, j))
         merged = tuple(int(np.count_nonzero(live & (birth < birth[s]))) for s in (i, j))
         events.append(TraceEvent(merged=merged, result=params, weight=weight))
 
@@ -174,6 +174,8 @@ def kmedoids(dm: DistanceMatrix, target_k: int, seed: int = 0, max_iters: int = 
     acting on it would make the partition depend on the last bits of the
     matrix. The seed breaks exact ties only, so runs on tie-free matrices
     are seed-independent. Cost never increases across swap iterations.
+    Each BUILD step and each SWAP medoid position scores all candidates as
+    the row sums of one n x n array, as d is exactly symmetric.
     """
     n = dm.n
     if not 1 <= target_k <= n:
@@ -184,31 +186,25 @@ def kmedoids(dm: DistanceMatrix, target_k: int, seed: int = 0, max_iters: int = 
     medoids = [_argbest(d.sum(axis=0), priority)]
     nearest = d[:, medoids[0]].copy()
     while len(medoids) < target_k:
-        gains = np.full(n, np.inf)
-        for c in range(n):
-            if c in medoids:
-                continue
-            gains[c] = -float(np.maximum(0.0, nearest - d[:, c]).sum())
+        # Row c is the cost decrease of adding candidate c.
+        gains = -np.maximum(0.0, nearest - d).sum(axis=1)
+        gains[medoids] = np.inf
         c = _argbest(gains, priority)
         medoids.append(c)
         nearest = np.minimum(nearest, d[:, c])
 
-    def cost_of(meds) -> float:
-        return float(d[:, meds].min(axis=1).sum())
-
-    current = cost_of(medoids)
+    current = float(nearest.sum())
     for _ in range(max_iters):
         threshold = current - n * np.finfo(float).eps * current
         best_swap = None
         for pos in range(len(medoids)):
-            for h in range(n):
-                if h in medoids:
-                    continue
-                trial = list(medoids)
-                trial[pos] = h
-                c = cost_of(trial)
-                if c < threshold and (best_swap is None or c < best_swap[0]):
-                    best_swap = (c, pos, h)
+            # Row h is the cost with h in place of medoids[pos].
+            others = d[:, medoids[:pos] + medoids[pos + 1:]].min(axis=1, initial=np.inf)
+            costs = np.minimum(d, others).sum(axis=1)
+            costs[medoids] = np.inf
+            h = int(np.argmin(costs))  # the first minimum, as a scan in h order keeps
+            if costs[h] < threshold and (best_swap is None or costs[h] < best_swap[0]):
+                best_swap = (float(costs[h]), pos, h)
         if best_swap is None:
             break
         current, pos, h = best_swap
@@ -220,8 +216,7 @@ def kmedoids(dm: DistanceMatrix, target_k: int, seed: int = 0, max_iters: int = 
     return Partition(assignment=_relabel_by_first_appearance(assignment))
 
 
-def partitional_reduce(m: VmfMixture, target_k: int, method: str = "hclust",
-                       cfg: BarycenterConfig = BarycenterConfig(), seed: int = 0):
+def partitional_reduce(m: VmfMixture, target_k: int, method: str = "hclust", seed: int = 0):
     """Reduce in one pass: cluster the components on their WL distances
     (weights ignored during clustering), then replace each cluster by its
     barycenter carrying the cluster's total weight."""
@@ -239,7 +234,7 @@ def partitional_reduce(m: VmfMixture, target_k: int, method: str = "hclust",
     events = []
     for label in range(part.n_clusters):
         members = np.flatnonzero(a == label).tolist()
-        params, weight = _merge_group(m.components, m.weights, members, cfg)
+        params, weight = _merge_group(m.components, m.weights, members)
         # The live list is the unmerged originals in order, then earlier results.
         positions = tuple(np.flatnonzero(a[a >= label] == label).tolist())
         events.append(TraceEvent(merged=positions, result=params, weight=weight))

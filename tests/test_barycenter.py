@@ -1,6 +1,7 @@
 """Barycenter: closed-form concentration and spherical Frechet mean."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from vmfgeom import (BarycenterConfig, VmfParams, barycenter, exp_map,
                      frechet_mean, geodesic_distance, log_map, optimal_kappa,
-                     wl_distance, TangentVector)
+                     wl_distance, wl_interpolate, TangentVector)
 
 
 def random_unit(rng, d):
@@ -182,6 +183,30 @@ class TestBarycenter:
         b = barycenter(comps, 4.0 * w)  # power-of-two scale: exact in floats
         assert np.array_equal(a.params.mu, b.params.mu)
         assert a.params.kappa == b.params.kappa
+
+    @pytest.mark.parametrize("d", [2, 3, 768])
+    def test_two_laws_land_on_their_geodesic(self, d):
+        # On two laws the extrinsic start lies on their arc, along which the
+        # objective is quadratic: the first unit step lands on the weighted
+        # geodesic point, and the second confirms it.
+        rng = np.random.default_rng(d)
+        eps = np.finfo(float).eps
+        for theta in np.geomspace(1e-9, 3.0, 30):
+            x = random_unit(rng, d)
+            u = rng.standard_normal(d)
+            u -= (x @ u) * x
+            u /= np.linalg.norm(u)
+            p = VmfParams(mu=x, kappa=math.exp(rng.uniform(-2, 6)))
+            q = VmfParams(mu=math.cos(theta) * x + math.sin(theta) * u,
+                          kappa=math.exp(rng.uniform(-2, 6)))
+            w = rng.uniform(0.05, 1.0, 2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the pi/2 ball, at wide angles
+                res = barycenter([p, q], w / w.sum())
+            want = wl_interpolate(p, q, w[1] / (w[0] + w[1]))
+            assert res.converged and res.iterations <= 2
+            assert np.abs(res.params.mu - want.mu).max() <= 1e-12
+            assert abs(res.params.kappa - want.kappa) <= 4 * eps * want.kappa
 
     def test_kappa_sandwich(self):
         rng = np.random.default_rng(48)

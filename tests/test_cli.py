@@ -235,6 +235,19 @@ class TestSampleAndFit:
         assert doc["bic"] == pytest.approx(
             -2 * doc["loglik"] + 5 * math.log(400), rel=1e-12)
 
+    def test_one_component_sample_then_fit_keeps_dim(self, tmp_path):
+        # One component gets a trailing column of zero labels, which must not
+        # read as a fourth coordinate.
+        mix = tmp_path / "mix.json"
+        write_mixture(mix, VmfMixture(components=(VmfParams(mu=[0, 0, 1], kappa=5.0),),
+                                      weights=[1.0]))
+        csv = tmp_path / "s.csv"
+        assert main(["sample", str(mix), "--n", "100", "--seed", "2", "-o", str(csv)]) == 0
+        out, meta = tmp_path / "fit.json", tmp_path / "fit_meta.json"
+        assert main(["fit", str(csv), "--k", "1", "--restarts", "2",
+                     "-o", str(out), "--meta", str(meta)]) == 0
+        assert json.loads(out.read_text())["dim"] == 3
+
     def test_sample_deterministic_bytes(self, tmp_path):
         mix = tmp_path / "mix.json"
         write_mixture(mix, VmfMixture(

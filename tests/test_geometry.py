@@ -176,6 +176,51 @@ class TestExpLogMaps:
         assert back.vec == pytest.approx(v, abs=1e-9)
 
 
+def axis_pairs(d, seed):
+    """Yields (x, y, angle, axes, signs): unit vectors in the plane of two
+    random coordinate axes, at angles from 1e-9 to pi - 1e-3, and the mpmath
+    angle between the floats as given. Each vector has at most two nonzero
+    entries, so it is unit to within about 1e-18."""
+    rng = np.random.default_rng(seed)
+    for theta in np.geomspace(1e-9, math.pi - 1e-3, 40):
+        i, j = rng.choice(d, 2, replace=False)
+        si, sj = rng.choice([-1.0, 1.0], 2)
+        x, y = np.zeros(d), np.zeros(d)
+        x[i], y[i], y[j] = si, si * math.cos(theta), sj * math.sin(theta)
+        with mpmath.workdps(40):
+            angle = mpmath.atan2(mpmath.mpf(y[j]) * sj, mpmath.mpf(y[i]) * si)
+        yield x, y, angle, (i, j), (si, sj)
+
+
+class TestLogMapAccuracy:
+    """Against mpmath: the angle 2 atan2(|x - y|, |x + y|) keeps its relative
+    accuracy at small angles, where acos of the rounded cosine loses it (and
+    reads 0 below about 1.5e-8 rad)."""
+
+    @pytest.mark.parametrize("d", [2, 3, 768])
+    def test_log_map_length_and_direction(self, d):
+        eps = np.finfo(float).eps
+        for x, y, angle, (i, j), (_, sj) in axis_pairs(d, seed=d):
+            v = log_map(x, y).vec
+            assert abs(mpmath.mpf(float(np.linalg.norm(v))) - angle) <= 4 * eps * angle
+            assert abs(v[i]) <= 4 * eps * angle
+            assert abs(mpmath.mpf(v[j]) - sj * angle) <= 4 * eps * angle
+            assert np.count_nonzero(v) <= 2
+
+    @pytest.mark.parametrize("d", [2, 3, 768])
+    def test_interpolated_midpoint(self, d):
+        # The midpoint of a nearly antipodal pair is ill-conditioned in the
+        # tangent direction (errors grow as 1/sin theta), hence the bound.
+        eps = np.finfo(float).eps
+        for x, y, angle, (i, j), (si, sj) in axis_pairs(d, seed=100 + d):
+            mid = wl_interpolate(VmfParams(mu=x, kappa=1.0), VmfParams(mu=y, kappa=2.0), 0.5).mu
+            with mpmath.workdps(40):
+                want_i, want_j = si * mpmath.cos(angle / 2), sj * mpmath.sin(angle / 2)
+            bound = 4 * eps / min(1.0, math.pi - float(angle))
+            assert abs(mpmath.mpf(mid[i]) - want_i) <= bound
+            assert abs(mpmath.mpf(mid[j]) - want_j) <= bound
+
+
 class TestInterpolation:
     def p(self):
         return VmfParams(mu=[1.0, 0.0, 0.0], kappa=1.0)

@@ -11,10 +11,10 @@ from vmfgeom import (DistanceMatrix, FitConfig, Partition,
                      VmfMixture, VmfParams, fit_em, geodesic_distance,
                      greedy_reduce, hclust_single_linkage, kmedoids,
                      pairwise_matrix, partitional_reduce, sample_mixture)
-from vmfgeom.barycenter import BarycenterConfig
 from vmfgeom.experiments import _derived_seed, sim2_truth
 from vmfgeom.geometry import _wl_matrix
-from vmfgeom.reduction import ReductionTrace, TraceEvent, _merge_group
+from vmfgeom.reduction import ReductionTrace, TraceEvent, _argbest, _merge_group
+from vmfgeom.rng import substream
 
 
 def mst_deletion_partition(d: np.ndarray, target_k: int) -> np.ndarray:
@@ -81,7 +81,7 @@ def hclust_reference(d: np.ndarray, target_k: int) -> np.ndarray:
     return assignment
 
 
-def greedy_reference(m: VmfMixture, target_k: int, cfg=BarycenterConfig()):
+def greedy_reference(m: VmfMixture, target_k: int):
     """Oracle: greedy merging on a live list, rebuilding the distance
     matrix after every merge (triu scan, then np.delete and np.pad)."""
     comps = list(m.components)
@@ -93,7 +93,7 @@ def greedy_reference(m: VmfMixture, target_k: int, cfg=BarycenterConfig()):
         flat = dist[iu, ju]
         hit = int(np.nonzero(flat == flat.min())[0][0])  # triu order is lexicographic
         i, j = int(iu[hit]), int(ju[hit])
-        params, weight = _merge_group(comps, weights, (i, j), cfg)
+        params, weight = _merge_group(comps, weights, (i, j))
         events.append(TraceEvent(merged=(i, j), result=params, weight=weight))
         for idx in (j, i):
             del comps[idx]
@@ -109,6 +109,54 @@ def greedy_reference(m: VmfMixture, target_k: int, cfg=BarycenterConfig()):
         dist[:-1, -1] = new_row
     reduced = VmfMixture(components=tuple(comps), weights=np.array(weights))
     return reduced, ReductionTrace(events=tuple(events), method="greedy")
+
+
+def kmedoids_reference(dm: DistanceMatrix, target_k: int, seed: int = 0,
+                       max_iters: int = 200) -> np.ndarray:
+    """Oracle: PAM scoring each BUILD and SWAP candidate with its own Python
+    call, under kmedoids' tie rule and n * eps * cost swap threshold."""
+    n = dm.n
+    d = dm.entries
+    priority = substream(seed, "kmedoids-ties").permutation(n)
+
+    medoids = [_argbest(d.sum(axis=0), priority)]
+    nearest = d[:, medoids[0]].copy()
+    while len(medoids) < target_k:
+        gains = np.full(n, np.inf)
+        for c in range(n):
+            if c in medoids:
+                continue
+            gains[c] = -float(np.maximum(0.0, nearest - d[:, c]).sum())
+        c = _argbest(gains, priority)
+        medoids.append(c)
+        nearest = np.minimum(nearest, d[:, c])
+
+    def cost_of(meds) -> float:
+        return float(d[:, meds].min(axis=1).sum())
+
+    current = cost_of(medoids)
+    for _ in range(max_iters):
+        threshold = current - n * np.finfo(float).eps * current
+        best_swap = None
+        for pos in range(len(medoids)):
+            for h in range(n):
+                if h in medoids:
+                    continue
+                trial = list(medoids)
+                trial[pos] = h
+                c = cost_of(trial)
+                if c < threshold and (best_swap is None or c < best_swap[0]):
+                    best_swap = (c, pos, h)
+        if best_swap is None:
+            break
+        current, pos, h = best_swap
+        medoids[pos] = h
+
+    assignment = np.argmin(d[:, medoids], axis=1)
+    for label, med in enumerate(medoids):
+        assignment[med] = label
+    _, first, inverse = np.unique(assignment, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def partition_positions_reference(assignment) -> list:
@@ -428,6 +476,24 @@ class TestKmedoids:
             build_only = partition_cost(dm, kmedoids(dm, 3, seed=seed, max_iters=0))
             full = partition_cost(dm, kmedoids(dm, 3, seed=seed))
             assert full <= build_only + 1e-12
+
+    @settings(max_examples=300)
+    @given(tie_matrices(), st.integers(0, 3))
+    def test_matches_reference_under_ties(self, d, seed):
+        dm = DistanceMatrix(entries=d)
+        for k in range(1, dm.n + 1):
+            for max_iters in (0, 1, 200):
+                got = kmedoids(dm, k, seed=seed, max_iters=max_iters).assignment
+                want = kmedoids_reference(dm, k, seed=seed, max_iters=max_iters)
+                assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_reference_on_random_matrices(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        dm = random_distance_matrix(rng, int(rng.integers(2, 40)))
+        for k in range(1, min(dm.n, 6) + 1):
+            got = kmedoids(dm, k, seed=seed).assignment
+            assert got.tolist() == kmedoids_reference(dm, k, seed=seed).tolist()
 
     def test_deterministic(self):
         dm = random_distance_matrix(np.random.default_rng(7), 9)
