@@ -94,65 +94,75 @@ def log_bessel_i(nu: float, x: float) -> float:
     return float(log_ive(nu, np.array([x]))[0]) + x
 
 
+def _ratio_ive(nu: float, x: np.ndarray):
+    """(I_{nu+1}(x) / I_nu(x), ive(nu + 1, x)) elementwise: the ratio of
+    scipy's ive values, and above x ~ 1.09e9, where ive stops, the
+    large-argument expansion 1 - (2nu+1)/(2x) + (2nu+1)(2nu-1)/(8x^2), whose
+    next term is below 1e-16 there for nu up to about 500."""
+    num = ive(nu + 1.0, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / ive(nu, x)
+        big = ~np.isfinite(out)
+        xb, c1, c2 = x[big], 2.0 * nu + 1.0, (2.0 * nu + 1.0) * (2.0 * nu - 1.0)
+        out[big] = 1.0 - c1 / (2.0 * xb) + c2 / (8.0 * xb) / xb
+    return out, num
+
+
 def _ratio_fraction(nu: float, x: np.ndarray) -> np.ndarray:
     """I_{nu+1}(x) / I_nu(x) by Perron's continued fraction (modified Lentz),
     elementwise over a 1-d array of finite x > 0, each element iterating until
     its own step is within 1e-15 of 1. Independent of log_ive, so A_d does
-    not inherit its branch structure."""
+    not inherit its branch structure. An element still short after 20,000
+    terms (x above about 1.7e7 at nu = 0) takes _ratio_ive's value."""
     bad = ~((x > 0.0) & (x < np.inf))
     if bad.any():
         raise ValueError(f"bessel ratio requires finite x > 0, got {x[bad][0]}")
     # R_nu = 1 / (b_1 + 1/(b_2 + ...)) with b_k = 2(nu + k)/x.
     tiny = 1e-300
-    out, live = np.empty(x.size), np.arange(x.size)
+    out, live = np.full(x.size, np.nan), np.arange(x.size)
     f, c, d = np.full(x.size, tiny), np.full(x.size, tiny), np.zeros(x.size)
-    for k in range(1, 20000):
-        b = 2.0 * (nu + k) / x[live]
-        d = b + d
-        d[d == 0.0] = tiny
-        c = b + 1.0 / c
-        c[c == 0.0] = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        done = np.abs(delta - 1.0) < 1e-15
-        out[live[done]] = f[done]
-        live, f, c, d = live[~done], f[~done], c[~done], d[~done]
-        if live.size == 0:
-            return out
-    raise RuntimeError(f"Bessel ratio continued fraction stalled at nu={nu}, x={x[live[0]]}")
+    with np.errstate(over="ignore"):
+        for k in range(1, 20000):
+            b = 2.0 * (nu + k) / x[live]
+            d = b + d
+            d[d == 0.0] = tiny
+            c = b + 1.0 / c
+            c[c == 0.0] = tiny
+            d = 1.0 / d
+            delta = c * d
+            f *= delta
+            done = np.abs(delta - 1.0) < 1e-15
+            out[live[done]] = f[done]
+            more = ~done & (f < np.inf)
+            live, f, c, d = live[more], f[more], c[more], d[more]
+            if live.size == 0:
+                break
+    short = np.isnan(out)
+    if short.any():
+        out[short] = _ratio_ive(nu, x[short])[0]
+    return out
 
 
 def log_bessel_i_ratio(nu: float, x: float) -> float:
-    """I_{nu+1}(x) / I_nu(x) for one finite x > 0, by Perron's continued fraction."""
+    """I_{nu+1}(x) / I_nu(x) for one finite x > 0, as _ratio_fraction gives it."""
     return float(_ratio_fraction(nu, np.array([float(x)]))[0])
 
 
 def mean_resultant_ratio(d: int, kappa):
     """A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa), the mean resultant
     length of a vMF law with concentration kappa in dimension d, elementwise
-    over an array of concentrations (a float gives a float).
-
-    The ratio of scipy's ive values, with Perron's continued fraction where
-    the numerator underflows (small kappa at high d). Above kappa ~ 1.09e9,
-    where ive stops, the large-argument expansion
-    1 - (d-1)/(2 kappa) + (d-1)(d-3)/(8 kappa^2), whose next term is below
-    1e-16 there for d up to about 1000.
-    """
+    over an array of concentrations (a float gives a float): _ratio_ive's
+    value, with Perron's continued fraction where the numerator underflows
+    (small kappa at high d)."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     x = np.asarray(kappa, dtype=np.float64)
     flat = x.reshape(-1)
     nu = d / 2.0 - 1.0
-    num = ive(nu + 1.0, flat)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / ive(nu, flat)
+    out, num = _ratio_ive(nu, flat)
     # I_{nu+1} < I_nu, so the numerator underflows first. The continued
     # fraction also rejects a kappa that is not finite and > 0.
     frac = (num < _TINY) | ~((flat > 0.0) & (flat < np.inf))
-    big = ~np.isfinite(out) & ~frac
-    kb = flat[big]
-    out[big] = 1.0 - (d - 1.0) / (2.0 * kb) + (d - 1.0) * (d - 3.0) / (8.0 * kb) / kb
     if frac.any():
         out[frac] = _ratio_fraction(nu, flat[frac])
     return out.reshape(x.shape) if x.ndim else float(out[0])

@@ -136,14 +136,14 @@ def bic(log_likelihood: float, k: int, d: int, n: int) -> float:
 
 
 def _component_log_pdfs(points, mus, kappas, weights):
-    """n x k matrix of log(w_j f_j(x_i)), one matmul for all components, or
+    """k x n matrix of log(w_j f_j(x_i)), one matmul for all components, or
     r such matrices for r stacked mixtures ((r, k, d) means). log C_d comes
     from one log_peak_density call for all components."""
     d = points.shape[1]
     log_c = log_peak_density(d, kappas) - kappas
-    out = points @ np.swapaxes(mus, -1, -2)
-    out *= kappas[..., None, :]
-    out += (np.log(weights) + log_c)[..., None, :]
+    out = mus @ points.T
+    out *= kappas[..., None]
+    out += (np.log(weights) + log_c)[..., None]
     return out
 
 
@@ -152,7 +152,7 @@ def mixture_log_pdf(m: VmfMixture, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     mus = np.stack([c.mu for c in m.components])
     kappas = np.array([c.kappa for c in m.components])
-    return logsumexp(_component_log_pdfs(points, mus, kappas, m.weights), axis=1)
+    return logsumexp(_component_log_pdfs(points, mus, kappas, m.weights), axis=0)
 
 
 def mixture_log_likelihood(m: VmfMixture, points: np.ndarray) -> float:
@@ -205,16 +205,16 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
     """EM restarts advanced together; a (mixture, log-likelihood, iterations,
     converged, reseeds, history) tuple per restart, in order.
 
-    The restarts still iterating stack along the first axis of every array,
-    and a restart leaves when it converges. Each matmul and sum has the shape
-    and axis one restart alone would use, so each result is bit-identical to
-    a restart run on its own. No exp here forms a subnormal (a value below
-    tiny, the smallest normal float), on which exp and the resp.T @ X
-    products run several times slower: an exponent below log(tiny) becomes
-    -inf first, so exp gives 0. In the log-sum-exp such a term is under
-    half an ulp of its row sum, which holds exp(0) = 1. In the
-    responsibilities it zeroes exactly those below tiny; as |x_i| <= 1, that
-    moves each resultant coordinate by less than n * tiny.
+    The restarts still iterating stack along the first axis of every array
+    and leave when they converge. The E-step arrays are (restart, component,
+    point), so its sums and products run along rows of n points, each with
+    the shape and axis one restart alone would use: each result is
+    bit-identical to that run. One exp gives both the log-sum-exp and the
+    responsibilities, and no value is subnormal (below tiny, where exp and
+    resp @ X run several times slower): an exponent below log(tiny) becomes
+    -inf, under half an ulp of a column sum that holds exp(0) = 1, and a
+    responsibility below tiny is zeroed, which moves each resultant
+    coordinate by less than n * tiny.
     """
     n, d = X.shape
     mus, kappas, ads, weights = map(np.stack, zip(*(
@@ -235,24 +235,22 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
 
     for iterations in range(1, cfg.max_iters + 1):
         logp = _component_log_pdfs(X, mus, kappas, weights)
-        top = logp[..., 0]
-        for j in range(1, cfg.k):  # exact, and faster than max(axis=2) on a short axis
-            top = np.maximum(top, logp[..., j])
-        shifted = logp - top[..., None]
-        shifted[shifted < _LOG_TINY] = -np.inf
-        lse = top + np.log(np.exp(shifted, out=shifted).sum(axis=2))
-        ll = lse.sum(axis=1)
+        top = logp.max(axis=1)
+        logp -= top[:, None]
+        logp[logp < _LOG_TINY] = -np.inf
+        resp = np.exp(logp, out=logp)  # e, divided in place below
+        total = resp.sum(axis=1)
+        ll = (top + np.log(total)).sum(axis=1)
         for p, v in zip(live, ll.tolist()):
             history[p].append(v)
         done = np.isfinite(prev_ll) & (np.abs(ll - prev_ll) <= cfg.tol * np.abs(ll))
         leave(done, True)
         prev_ll = ll
-        logp -= lse[..., None]
-        logp[logp < _LOG_TINY] = -np.inf
-        resp = np.exp(logp, out=logp)
+        resp /= total[:, None]
+        resp[resp < _TINY] = 0.0
 
-        n_eff = resp.sum(axis=1)
-        resultants = np.swapaxes(resp, 1, 2) @ X
+        n_eff = resp.sum(axis=2)
+        resultants = resp @ X
         norms = np.linalg.norm(resultants, axis=2)
         fed = n_eff >= 1.0
         mus[fed] = resultants[fed] / norms[fed, None]
@@ -263,12 +261,12 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
         weights[fed] = n_eff[fed] / n
         if not fed.all():
             # Starved components restart at their restart's worst-explained point.
-            worst = np.argmin(resp.max(axis=2), axis=1)
+            worst = np.argmin(resp.max(axis=1), axis=1)
             mus[~fed] = X[np.broadcast_to(worst[:, None], fed.shape)[~fed]]
             weights[~fed] = 1.0 / n
             reseeds[live] += np.count_nonzero(~fed, axis=1)
         weights /= weights.sum(axis=1, keepdims=True)
-        del logp, resp, shifted  # free the n x k arrays before the next E-step
+        del logp, resp  # free the k x n arrays before the next E-step
         # The converged restarts leave only now: their M-step above is discarded.
         live, prev_ll, mus, kappas, ads, weights = (
             v[~done] for v in (live, prev_ll, mus, kappas, ads, weights))

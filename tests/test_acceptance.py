@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from vmfgeom import (VmfMixture, VmfParams,
                      barycenter, exp_map, geodesic_distance, greedy_reduce,
@@ -175,6 +176,7 @@ def test_criterion_06_sampler_moments():
            f"r_bar={r_bar:.5f} vs {want:.5f}, align={align:.6f}")
 
 
+@pytest.mark.slow
 def test_criterion_07_sim1_reproduction(tmp_path):
     start = time.perf_counter()
     wins = 0
@@ -192,6 +194,7 @@ def test_criterion_07_sim1_reproduction(tmp_path):
            ok, f"{wins}/5 seeds [{'; '.join(records)}] in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_sim2_reproduction(tmp_path):
     start = time.perf_counter()
     argmin_wins = 0

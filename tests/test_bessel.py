@@ -139,8 +139,16 @@ class TestRatio:
         assert [log_bessel_i_ratio(383.0, float(k)) for k in kappas] == want
         assert [log_bessel_i_ratio(nu, 3.0) for nu in (0.0, 0.5, 49.0)] == \
             [ratio_fraction_scalar(nu, 3.0) for nu in (0.0, 0.5, 49.0)]
-        with pytest.raises(RuntimeError, match="stalled"):
-            log_bessel_i_ratio(0.0, 1e8)  # needs more terms than the 20,000 allowed
+
+    @pytest.mark.parametrize("nu", [0.0, 383.0])
+    def test_ratio_past_the_fraction(self, nu):
+        # The fraction needs more than its 20,000 terms from x ~ 1.7e7 at
+        # nu = 0; the ive ratio, and past 1.09e9 the expansion, take over,
+        # within an ulp of mpmath.
+        for x in (1.78e7, 1e8, 1e9, 1e12):
+            with mp.workdps(40):
+                want = mp.besseli(nu + 1, x) / mp.besseli(nu, x)
+            assert abs(mp.mpf(log_bessel_i_ratio(nu, x)) - want) <= np.finfo(float).eps * want
 
     def test_ratio_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

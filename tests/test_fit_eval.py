@@ -112,10 +112,40 @@ def em_reference(X, cfg, rng):
     return mixture_log_likelihood(mixture, X), iterations, converged, reseeds, subnormals
 
 
-def em_once_reference(X, cfg, rng):
-    """One EM restart on its own: the loop fit_em ran before restarts were
-    advanced together. Returns (mixture, log-likelihood, iterations,
-    converged, reseeds, history)."""
+def estep_component_major(X, mus, kappas, weights):
+    """One restart's E-step as _em_restarts forms it: k x n log-densities,
+    one exp, its column sums, and the quotients by them flushed below tiny.
+    Returns (log-likelihood, effective counts, resultants, worst-explained
+    point)."""
+    log_c = log_peak_density(X.shape[1], kappas) - kappas
+    logp = kappas[:, None] * (mus @ X.T) + (np.log(weights) + log_c)[:, None]
+    top = logp.max(axis=0)
+    e = np.exp(logp - top)
+    total = e.sum(axis=0)
+    resp = e / total
+    resp[resp < _TINY] = 0.0
+    return (float((top + np.log(total)).sum()), resp.sum(axis=1), resp @ X,
+            int(np.argmin(resp.max(axis=0))))
+
+
+def estep_point_major(X, mus, kappas, weights):
+    """The same as the loop before the component-major layout formed it:
+    n x k log-densities, one exp for the log-sum-exp and another for the
+    responsibilities, flushed below tiny after the effective counts."""
+    log_c = log_peak_density(X.shape[1], kappas) - kappas
+    logp = np.log(weights) + log_c + kappas * (X @ mus.T)
+    top = logp.max(axis=1)
+    lse = top + np.log(np.exp(logp - top[:, None]).sum(axis=1))
+    resp = np.exp(logp - lse[:, None])
+    n_eff = resp.sum(axis=0)
+    resp[resp < _TINY] = 0.0
+    return float(lse.sum()), n_eff, resp.T @ X, int(np.argmin(resp.max(axis=1)))
+
+
+def em_once_reference(X, cfg, rng, estep=estep_component_major):
+    """One EM restart on its own, with the given E-step: the loop fit_em ran
+    before restarts were advanced together. Returns (mixture,
+    log-likelihood, iterations, converged, reseeds, history)."""
     n, d = X.shape
     k = cfg.k
 
@@ -142,23 +172,13 @@ def em_once_reference(X, cfg, rng):
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        log_c = log_peak_density(d, kappas) - kappas
-        beyond = ~np.isfinite(log_c)
-        log_c[beyond] = [log_normalizing_constant(d, c) for c in kappas[beyond]]
-        logp = np.log(weights) + log_c + kappas * (X @ mus.T)
-        top = logp.max(axis=1)
-        lse = top + np.log(np.exp(logp - top[:, None]).sum(axis=1))
-        ll = float(lse.sum())
+        ll, n_eff, resultants, worst = estep(X, mus, kappas, weights)
         history.append(ll)
         if math.isfinite(prev_ll) and abs(ll - prev_ll) <= cfg.tol * abs(ll):
             converged = True
             break
         prev_ll = ll
-        resp = np.exp(logp - lse[:, None])
 
-        n_eff = resp.sum(axis=0)
-        resp[resp < _TINY] = 0.0
-        resultants = resp.T @ X
         norms = np.linalg.norm(resultants, axis=1)
         fed = n_eff >= 1.0
         mus[fed] = resultants[fed] / norms[fed, None]
@@ -166,7 +186,7 @@ def em_once_reference(X, cfg, rng):
                                               d, cfg.kappa_cap, kappas[fed], ads[fed])
         weights[fed] = n_eff[fed] / n
         if not fed.all():
-            mus[~fed] = X[np.argmin(resp.max(axis=1))]
+            mus[~fed] = X[worst]
             weights[~fed] = 1.0 / n
             reseeds += int(np.count_nonzero(~fed))
         weights /= weights.sum()
@@ -285,6 +305,22 @@ class TestRestartBlocks:
         lls = [w[1] for w in wants]
         assert_same_fit(astuple_fit(fit_em(data, cfg)), wants[lls.index(max(lls))])
 
+    @pytest.mark.parametrize("k", [2, 7, 10])
+    def test_sim2_seed0_matches_point_major_loop(self, k):
+        # Against the loop before the component-major layout: the division in
+        # place of a second exp moves log-likelihoods by rounding only, and
+        # every restart keeps its course and the same one wins.
+        data = sample_mixture(sim2_truth(), SIM2_N, seed=_derived_seed(0, "sim2-sample"))
+        cfg = FitConfig(k=k, restarts=10, seed=_derived_seed(0, "sim2-fit", k))
+        got = _em_restarts(data.points, cfg, range(cfg.restarts))
+        wants = [em_once_reference(data.points, cfg, substream(cfg.seed, "em-restart", r),
+                                   estep_point_major) for r in range(cfg.restarts)]
+        for a, b in zip(got, wants, strict=True):
+            assert a[2:5] == b[2:5]
+            assert a[1] == pytest.approx(b[1], rel=1e-12, abs=0.0)
+        lls = [[res[1] for res in side] for side in (got, wants)]
+        assert lls[0].index(max(lls[0])) == lls[1].index(max(lls[1]))
+
     def test_768d_restarts_converge_at_different_iterations(self):
         # Four modes 0.3 rad from a common axis in R^768, fitted with six
         # components: the restarts converge after 17, 19 and 22 iterations, so
@@ -314,8 +350,18 @@ class TestRestartBlocks:
         assert np.all(np.exp(np.full(64, below)) < _TINY)
 
     def test_estep_forms_no_subnormal(self, monkeypatch):
-        # Every exp in fit_eval is an E-step exp; count the subnormals they return.
-        outputs = []
+        # Every exp in fit_eval is the E-step's one exp: count the subnormals
+        # it returns, and those among the responsibilities derived from it
+        # that reach resp @ X. With 20 components on five modes many column
+        # sums exceed 1, so the division forms responsibilities below tiny
+        # from exponentials above it (10 here), which the flush zeroes.
+        outputs, products = [], []
+
+        class Responsibilities(np.ndarray):
+            def __matmul__(self, other):
+                resp = np.asarray(self)
+                products.append(np.count_nonzero((resp > 0.0) & (resp < _TINY)))
+                return resp @ other
 
         class CountingNumpy:
             def __getattr__(self, name):
@@ -324,13 +370,14 @@ class TestRestartBlocks:
             def exp(self, *args, **kwargs):
                 out = np.exp(*args, **kwargs)
                 outputs.append((out.size, np.count_nonzero((out > 0.0) & (out < _TINY))))
-                return out
+                return out.view(Responsibilities)
 
-        X = five_clusters_768(600, seed=0)
+        X = five_clusters_768(1000, seed=0)
         monkeypatch.setattr(fit_eval, "np", CountingNumpy())
-        iterations = max(r[2] for r in _em_restarts(X, FitConfig(k=6, restarts=3, seed=0), range(3)))
-        assert len(outputs) == 2 * iterations  # the log-sum-exp and the responsibilities
+        iterations = max(r[2] for r in _em_restarts(X, FitConfig(k=20, restarts=3, seed=0), range(3)))
+        assert len(outputs) == len(products) == iterations
         assert sum(count for _, count in outputs) == 0
+        assert sum(products) == 0
         assert sum(size for size, _ in outputs) > 20_000
 
     def test_restarts_span_blocks_with_bounded_memory(self):
