@@ -107,10 +107,9 @@ def run_sim1(seed: int, out_dir: str) -> dict:
         assign = kmedoids(dm, 4, seed=_derived_seed(seed, "sim1-pam", name)).assignment
         purities[name] = cluster_purity(assign, labels)
         emb = mds_embed(dm, dim=2)
-        with open(os.path.join(out_dir, f"{name}_embedding.csv"), "w", encoding="utf-8") as fh:
-            fh.write("x,y,label\n")
-            for row, label in zip(emb.coords, labels):
-                fh.write(f"{row[0]:.17g},{row[1]:.17g},{label}\n")
+        np.savetxt(os.path.join(out_dir, f"{name}_embedding.csv"),
+                   np.column_stack([emb.coords, labels]), delimiter=",",
+                   fmt=["%.17g", "%.17g", "%d"], header="x,y,label", comments="")
 
     with open(os.path.join(out_dir, "purity.csv"), "w", encoding="utf-8") as fh:
         fh.write("metric,purity\n")

@@ -82,17 +82,11 @@ def single_component(m: VmfMixture) -> VmfParams:
 
 
 def write_samples(path, s: SampleSet, header: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            cols = [f"x{i}" for i in range(s.d)]
-            if s.labels is not None:
-                cols.append("label")
-            fh.write(",".join(cols) + "\n")
-        for i in range(s.n):
-            row = [_FMT % v for v in s.points[i]]
-            if s.labels is not None:
-                row.append(str(int(s.labels[i])))
-            fh.write(",".join(row) + "\n")
+    cols, fmt, data = [f"x{i}" for i in range(s.d)], [_FMT] * s.d, s.points
+    if s.labels is not None:
+        cols, fmt, data = cols + ["label"], fmt + ["%d"], np.column_stack([data, s.labels])
+    np.savetxt(path, data, delimiter=",", fmt=fmt, header=",".join(cols) if header else "",
+               comments="")
 
 
 def read_samples(path, header: bool = False) -> SampleSet:

@@ -5,23 +5,28 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gammaln, ive, logsumexp
+from scipy.special import gammaln, ive
 
-from vmfgeom.bessel import (_SERIES_BLOCK, _SERIES_TERMS, _log_iv_series, log_bessel_i,
-                            log_bessel_i_ratio, mean_resultant_ratio)
+from vmfgeom.bessel import _series, log_bessel_i, log_bessel_i_ratio, log_ive, mean_resultant_ratio
 from vmfgeom.core import log_normalizing_constant, log_peak_density
 from vmfgeom.fit_eval import kappa_mle
 from vmfgeom.geometry import _l2_matrix
 
 mp.mp.dps = 50
+EPS = np.finfo(float).eps
 
 
 def mp_log_iv(nu: float, x: float) -> float:
     return float(mp.log(mp.besseli(mp.mpf(nu), mp.mpf(x))))
 
 
+def mp_ratio(nu: float, x: float):
+    """I_{nu+1}(x) / I_nu(x) at 50 digits, as an mpf."""
+    return mp.besseli(mp.mpf(nu) + 1, mp.mpf(x)) / mp.besseli(mp.mpf(nu), mp.mpf(x))
+
+
 def ratio_fraction_scalar(nu: float, x: float) -> float:
-    """Reference: Perron's continued fraction for I_{nu+1}(x) / I_nu(x) on
+    """Cross-check: Perron's continued fraction for I_{nu+1}(x) / I_nu(x) on
     one argument, by the modified Lentz algorithm in Python floats."""
     tiny = 1e-300
     f = c = tiny
@@ -42,39 +47,28 @@ def ratio_fraction_scalar(nu: float, x: float) -> float:
     raise RuntimeError("stalled")
 
 
-def log_iv_series_scalar(nu: float, x: float) -> float:
-    """Reference: the power series for one argument, as one 1-d logsumexp,
-    with numpy's log of x as the array path takes it."""
-    m = np.arange(_SERIES_TERMS)
-    log_terms = (2 * m + nu) * (np.log(x) - math.log(2.0)) \
-        - gammaln(m + 1.0) - gammaln(m + 1.0 + nu)
-    return float(logsumexp(log_terms))
-
-
 class TestSeriesOnArrays:
     # Arguments where ive underflows, so log_bessel_i takes the series.
     GRID = [(nu, float(x)) for nu in (0.5, 4.0, 53.5, 383.0, 499.0)
             for x in np.geomspace(1e-300, 300.0, 200) if ive(nu, x) == 0.0]
 
-    def test_scalar_path_matches_reference_exactly(self):
+    def test_scalar_path_matches_mpmath(self):
         assert len(self.GRID) > 300
-        # Also where numpy's vectorised log rounds away from math.log (none on
-        # some CPUs): the scalar path takes numpy's log, as the reference does.
-        x = np.geomspace(1e-300, 50.0, 200_001)  # ive(383, x) underflows below about 52
-        odd = [(383.0, float(v)) for v in x[np.log(x) != [math.log(v) for v in x]]]
-        for nu, x in self.GRID + odd:
-            want = log_iv_series_scalar(nu, x)
-            assert log_bessel_i(nu, x) == want
-            assert _log_iv_series(nu, x) == want
+        for nu, x in self.GRID:
+            want = mp_log_iv(nu, x)
+            assert abs(log_bessel_i(nu, x) - want) <= 1e-15 * max(abs(want), 1.0)
 
     def test_array_path_matches_scalars(self):
-        # Across several blocks, at most numpy's log rounding (an ulp of log x) apart.
-        x = np.geomspace(1e-6, 150.0, 2 * _SERIES_BLOCK + 4)
-        got = _log_iv_series(383.0, x)
-        want = np.array([log_iv_series_scalar(383.0, v) for v in x])
+        # Each element sums its own terms: an array gives, bit for bit, what
+        # one-element calls give, in any shape.
+        x = np.geomspace(1e-6, 150.0, 8196)  # ive(383, x) underflows below about 52
+        got = log_ive(383.0, x)
         assert got.shape == x.shape
-        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
-        assert np.array_equal(_log_iv_series(383.0, x.reshape(3, -1, 1)).ravel(), got)
+        assert list(got) == [log_ive(383.0, np.array([v]))[0] for v in x]
+        assert np.array_equal(log_ive(383.0, x.reshape(3, -1, 1)).ravel(), got)
+        for nu in (4.0, 53.5, 499.0):
+            xs = np.array([x for n, x in self.GRID if n == nu])
+            assert list(log_ive(nu, xs) + xs) == [log_bessel_i(nu, v) for v in xs]
 
 
 class TestLogBesselI:
@@ -87,15 +81,18 @@ class TestLogBesselI:
 
     def test_branch_seam_agreement(self):
         # The power series must agree with log(ive)+x where both are usable,
-        # scanning across the underflow boundary for a high order.
+        # scanning across the underflow boundary for a high order; below it,
+        # log_bessel_i takes the series and matches mpmath.
         nu = 383.0
-        for x in np.geomspace(60.0, 400.0, 40):
+        for x in np.geomspace(30.0, 400.0, 60):
             y = float(ive(nu, x))
             if y <= 0.0:
+                want = mp_log_iv(nu, x)
+                assert abs(log_bessel_i(nu, x) - want) <= 1e-15 * abs(want)
                 continue
-            via_scipy = math.log(y) + x
-            from vmfgeom.bessel import _log_iv_series
-            assert _log_iv_series(nu, x) == pytest.approx(via_scipy, rel=1e-12)
+            via_series = nu * (math.log(x) - math.log(2.0)) - gammaln(nu + 1.0) \
+                + math.log(_series(nu, np.array([x]))[0])
+            assert via_series == pytest.approx(math.log(y) + x, rel=1e-12)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -131,21 +128,37 @@ class TestRatio:
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_fraction_over_arrays_matches_scalar(self):
-        # Where ive underflows, A_d runs the continued fraction over the array,
-        # with the same arithmetic per element as the loop on Python floats.
+        # Where ive underflows (all of these kappas at d = 768), A_d takes the
+        # ratio of two series over the array: each element is what a scalar
+        # call gives, within 2 eps of mpmath and 4 eps of Perron's continued
+        # fraction. At x = 3 the ive ratio serves, which scipy's ive leaves
+        # 30 eps off at nu = 0.5 and 77 eps at nu = 49; 1e-13 as in test_matches_mpmath.
         kappas = np.geomspace(1e-6, 40.0, 50)
-        want = [ratio_fraction_scalar(383.0, float(k)) for k in kappas]
-        assert list(mean_resultant_ratio(768, kappas)) == want
-        assert [log_bessel_i_ratio(383.0, float(k)) for k in kappas] == want
-        assert [log_bessel_i_ratio(nu, 3.0) for nu in (0.0, 0.5, 49.0)] == \
-            [ratio_fraction_scalar(nu, 3.0) for nu in (0.0, 0.5, 49.0)]
+        got = mean_resultant_ratio(768, kappas)
+        assert [log_bessel_i_ratio(383.0, float(k)) for k in kappas] == list(got)
+        assert [mean_resultant_ratio(768, float(k)) for k in kappas] == list(got)
+        for k, g in zip(kappas, got):
+            assert abs(mp.mpf(g) - mp_ratio(383.0, k)) <= 2 * EPS * g
+            assert abs(g - ratio_fraction_scalar(383.0, float(k))) <= 4 * EPS * g
+        for nu in (0.0, 0.5, 49.0):
+            assert log_bessel_i_ratio(nu, 3.0) == pytest.approx(float(mp_ratio(nu, 3.0)), rel=1e-13)
+
+    @pytest.mark.parametrize("d", [3, 768])
+    def test_tiny_kappa(self, d):
+        # Down to the smallest subnormal, A_d(kappa) ~ kappa / d is within
+        # 2 eps of mpmath, or one subnormal step where it is subnormal.
+        for kappa in (1e-290, 1e-300, 1e-305, 1e-310, 5e-324):
+            got = mean_resultant_ratio(d, kappa)
+            want = mp_ratio(d / 2.0 - 1.0, kappa)
+            tol = 2 * EPS * want if want >= np.finfo(float).tiny else mp.mpf(5e-324)
+            assert abs(mp.mpf(got) - want) <= tol, (kappa, got, want)
 
     @pytest.mark.parametrize("nu", [0.0, 383.0])
     def test_ratio_past_the_fraction(self, nu):
-        # The fraction needs more than its 20,000 terms from x ~ 1.7e7 at
-        # nu = 0; the ive ratio, and past 1.09e9 the expansion, take over,
-        # within an ulp of mpmath.
-        for x in (1.78e7, 1e8, 1e9, 1e12):
+        # Where Perron's fraction would need more than 20,000 terms (from
+        # x ~ 1.7e7 at nu = 0), the ive ratio, and past 1.09e9 the expansion,
+        # are within an ulp of mpmath, up to the largest floats without a warning.
+        for x in (1.78e7, 1e8, 1e9, 1e12, 1.7e308):
             with mp.workdps(40):
                 want = mp.besseli(nu + 1, x) / mp.besseli(nu, x)
             assert abs(mp.mpf(log_bessel_i_ratio(nu, x)) - want) <= np.finfo(float).eps * want
