@@ -22,8 +22,8 @@ class BarycenterConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be > 0")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

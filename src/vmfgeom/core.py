@@ -161,12 +161,16 @@ def log_peak_density(d: int, kappa) -> np.ndarray:
     for every finite kappa. kappa = 0 gives log C_d(0) = -log |S^{d-1}|, the
     uniform density, and a non-finite kappa gives NaN.
     """
+    kappa = np.asarray(kappa, dtype=np.float64)
+    return _log_peak(d, kappa, log_ive(d / 2.0 - 1.0, kappa))
+
+
+def _log_peak(d: int, kappa: np.ndarray, log_i: np.ndarray) -> np.ndarray:
+    """log_peak_density(d, kappa) given log_i = log_ive(d/2 - 1, kappa)."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    kappa = np.asarray(kappa, dtype=np.float64)
-    nu = d / 2.0 - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = nu * np.log(kappa) - (d / 2.0) * _LOG_2PI - log_ive(nu, kappa)
+        out = (d / 2.0 - 1.0) * np.log(kappa) - (d / 2.0) * _LOG_2PI - log_i
     out[kappa == 0.0] = math.lgamma(d / 2.0) - math.log(2.0) - (d / 2.0) * math.log(math.pi)
     return out
 

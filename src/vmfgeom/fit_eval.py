@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _TINY, logsumexp, mean_resultant_ratio
-from .core import SampleSet, VmfMixture, VmfParams, log_peak_density
+from .bessel import _TINY, _log_ive_and_ratio, logsumexp
+from .core import SampleSet, VmfMixture, VmfParams, _log_peak, log_peak_density
 from .rng import substream
 
 
@@ -25,12 +25,12 @@ class FitConfig:
     kappa_cap: float = 1e5
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.kappa_cap <= 0.0:
-            raise ValueError("kappa_cap must be > 0")
+        for name in ("k", "restarts", "max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("tol", "kappa_cap"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -68,17 +68,17 @@ def kappa_mle(r_bar: float, d: int, kappa_cap: float = 1e12) -> float:
     return float(_kappa_newton(np.array([r_bar]), d, kappa_cap)[0][0])
 
 
-def _kappa_newton(r_bar: np.ndarray, d: int, kappa_cap: float, kappa=None, a=None):
+def _kappa_newton(r_bar: np.ndarray, d: int, kappa_cap: float, kappa=None, a=None, log_c=None):
     """kappa_mle elementwise over an array of mean resultant lengths in
-    (0, 1): the concentrations and A_d at each of them (NaN at the cap).
+    (0, 1): the concentrations, and A_d and log C_d at each (NaN at the cap).
 
     Starts from kappa where given (a warm start, such as the previous EM
     iterate) and within 50 % of Banerjee's estimate, else from that
-    estimate. a holds A_d at the start where known and NaN elsewhere, so a
-    solve started from the last one's result makes no Bessel call for its
-    first step. Each element takes at most 25 steps, only while it moves,
-    and stops at |A_d(kappa) - r_bar| < 1e-10 or at the cap; one still
-    short of both after 25 steps raises RuntimeError.
+    estimate. a and log_c hold A_d and log C_d at the start where known and
+    NaN elsewhere, so a solve started from the last one's result makes no
+    Bessel call for its first step. Each element takes at most 25 steps,
+    only while it moves, and stops at |A_d(kappa) - r_bar| < 1e-10 or at the
+    cap; one still short of both after 25 steps raises RuntimeError.
     A step is Halley's (Song, Liu & Wang 2012) where |resid A''| < A'^2,
     which keeps its denominator above A'^2 / 2, and Newton's (Sra 2012)
     elsewhere. Both derivatives come from A_d, with no Bessel call of their
@@ -86,23 +86,25 @@ def _kappa_newton(r_bar: np.ndarray, d: int, kappa_cap: float, kappa=None, a=Non
     """
     cold = np.clip(r_bar * (d - r_bar * r_bar) / (1.0 - r_bar * r_bar), 1e-12, kappa_cap)
     kappa = cold if kappa is None else np.array(kappa, dtype=np.float64)
-    a = np.full(kappa.size, np.nan) if a is None else np.array(a, dtype=np.float64)
+    a, log_c = (np.full(kappa.size, np.nan) if v is None else np.array(v, float)
+                for v in (a, log_c))
     # Banerjee's estimate lies at most 7 % above the root (measured for d up
     # to 1000). A start more than 50 % away from it takes it instead: below
     # the root a step at most doubles kappa, and from far above one lands
     # near 0.
     away = np.abs(kappa - cold) > 0.5 * cold
-    kappa[away], a[away] = cold[away], np.nan
+    kappa[away], a[away], log_c[away] = cold[away], np.nan, np.nan
     live = np.arange(kappa.size)
     for steps in range(26):
         fresh = live[np.isnan(a[live])]
-        if fresh.size:
-            a[fresh] = mean_resultant_ratio(d, kappa[fresh])
+        if fresh.size:  # A_d, and log C_d from the same Bessel evaluation
+            log_i, a[fresh] = _log_ive_and_ratio(d / 2.0 - 1.0, kappa[fresh], True)
+            log_c[fresh] = _log_peak(d, kappa[fresh], log_i) - kappa[fresh]
         resid = a[live] - r_bar[live]
         moving = np.abs(resid) >= 1e-10
         live, resid = live[moving], resid[moving]
         if live.size == 0:
-            return kappa, a
+            return kappa, a, log_c
         if steps == 25:
             raise RuntimeError(f"concentration solve did not converge in 25 steps at d={d}, "
                                f"r_bar={float(r_bar[live[0]])!r}, kappa={float(kappa[live[0]])!r}")
@@ -111,10 +113,10 @@ def _kappa_newton(r_bar: np.ndarray, d: int, kappa_cap: float, kappa=None, a=Non
         curve = -2.0 * at * slope - (d - 1.0) * (slope * cur - at) / (cur * cur)
         # Past 1e6 sqrt(d) these cancel to fewer digits than A_d carries, so
         # the derivatives come from the expansion A_d = 1 - c1/kappa + c2/kappa^2.
-        far = cur > 1e6 * math.sqrt(d)
-        kf, c1, c2 = cur[far], (d - 1.0) / 2.0, (d - 1.0) * (d - 3.0) / 8.0
-        slope[far] = (c1 - 2.0 * c2 / kf) / (kf * kf)
-        curve[far] = (6.0 * c2 / kf - 2.0 * c1) / (kf * kf * kf)
+        if (far := cur > 1e6 * math.sqrt(d)).any():
+            kf, c1, c2 = cur[far], (d - 1.0) / 2.0, (d - 1.0) * (d - 3.0) / 8.0
+            slope[far] = (c1 - 2.0 * c2 / kf) / (kf * kf)
+            curve[far] = (6.0 * c2 / kf - 2.0 * c1) / (kf * kf * kf)
         halley = np.abs(resid * curve) < slope * slope
         step = np.where(halley, resid * slope / (slope * slope - 0.5 * resid * curve),
                         resid / slope)
@@ -124,7 +126,7 @@ def _kappa_newton(r_bar: np.ndarray, d: int, kappa_cap: float, kappa=None, a=Non
             step[over] *= 0.5
             nxt[over] = cur[over] - step[over]
         kappa[live] = np.minimum(nxt, kappa_cap)
-        a[live] = np.nan
+        a[live], log_c[live] = np.nan, np.nan
         live = live[nxt < kappa_cap]
 
 
@@ -135,12 +137,13 @@ def bic(log_likelihood: float, k: int, d: int, n: int) -> float:
     return -2.0 * log_likelihood + (k * (d + 1) - 1) * math.log(n)
 
 
-def _component_log_pdfs(points, mus, kappas, weights):
+def _component_log_pdfs(points, mus, kappas, weights, log_c):
     """k x n matrix of log(w_j f_j(x_i)), one matmul for all components, or
-    r such matrices for r stacked mixtures ((r, k, d) means). log C_d comes
-    from one log_peak_density call for all components."""
-    d = points.shape[1]
-    log_c = log_peak_density(d, kappas) - kappas
+    r such matrices for r stacked mixtures ((r, k, d) means). log_c holds
+    log C_d at kappas, NaN where not known; those entries are filled in
+    place from one log_peak_density call."""
+    if (miss := np.isnan(log_c)).any():
+        log_c[miss] = log_peak_density(points.shape[1], kappas[miss]) - kappas[miss]
     out = mus @ points.T
     out *= kappas[..., None]
     out += (np.log(weights) + log_c)[..., None]
@@ -151,8 +154,8 @@ def mixture_log_pdf(m: VmfMixture, points: np.ndarray) -> np.ndarray:
     """Per-point log density of the mixture at unit-norm rows."""
     points = np.asarray(points, dtype=np.float64)
     mus = np.stack([c.mu for c in m.components])
-    kappas = np.array([c.kappa for c in m.components])
-    return logsumexp(_component_log_pdfs(points, mus, kappas, m.weights), axis=0)
+    kappas, log_c = np.array([c.kappa for c in m.components]), np.full(m.k, np.nan)
+    return logsumexp(_component_log_pdfs(points, mus, kappas, m.weights, log_c), axis=0)
 
 
 def mixture_log_likelihood(m: VmfMixture, points: np.ndarray) -> float:
@@ -183,8 +186,8 @@ _LOG_TINY = math.log(_TINY)  # exp(x) < tiny exactly when x < _LOG_TINY
 
 
 def _em_start(X: np.ndarray, k: int, kappa_cap: float, rng: np.random.Generator):
-    """One restart's initial (mus, kappas, A_d at kappas, weights) from
-    k-means++ seeds."""
+    """One restart's initial (mus, kappas, A_d and log C_d at kappas,
+    weights) from k-means++ seeds."""
     n, d = X.shape
     seeds = _seed_directions(X, k, rng)
     assign = np.argmax(X @ seeds.T, axis=1)
@@ -217,7 +220,7 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
     coordinate by less than n * tiny.
     """
     n, d = X.shape
-    mus, kappas, ads, weights = map(np.stack, zip(*(
+    mus, kappas, ads, log_cs, weights = map(np.stack, zip(*(
         _em_start(X, cfg.k, cfg.kappa_cap, substream(cfg.seed, "em-restart", r)) for r in restarts)))
     live = np.arange(len(restarts))  # block positions of the restarts still iterating
     prev_ll, reseeds = np.full(live.size, -np.inf), np.zeros(live.size, dtype=np.int64)
@@ -225,16 +228,16 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
     iterations = 0
 
     def leave(done, converged):
-        for p, m, c, w in zip(live[done], mus[done], kappas[done], weights[done]):
+        for p, m, c, lc, w in zip(live[done], mus[done], kappas[done], log_cs[done], weights[done]):
             mixture = VmfMixture(components=tuple(map(VmfParams, m, c)), weights=w)
             # Scored as returned: one M-step past the last history entry at max_iters.
-            ll = mixture_log_likelihood(mixture, X)
+            ll = float(logsumexp(_component_log_pdfs(X, m, c, mixture.weights, lc), axis=0).sum())
             if not converged:
                 history[p].append(ll)
             out[p] = (mixture, ll, iterations, converged, int(reseeds[p]), tuple(history[p]))
 
     for iterations in range(1, cfg.max_iters + 1):
-        logp = _component_log_pdfs(X, mus, kappas, weights)
+        logp = _component_log_pdfs(X, mus, kappas, weights, log_cs)
         top = logp.max(axis=1)
         logp -= top[:, None]
         logp[logp < _LOG_TINY] = -np.inf
@@ -244,7 +247,8 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
         for p, v in zip(live, ll.tolist()):
             history[p].append(v)
         done = np.isfinite(prev_ll) & (np.abs(ll - prev_ll) <= cfg.tol * np.abs(ll))
-        leave(done, True)
+        if leaving := done.any():
+            leave(done, True)
         prev_ll = ll
         resp /= total[:, None]
         resp[resp < _TINY] = 0.0
@@ -254,10 +258,10 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
         norms = np.linalg.norm(resultants, axis=2)
         fed = n_eff >= 1.0
         mus[fed] = resultants[fed] / norms[fed, None]
-        # Each solve starts from the last iterate and A_d there (ads, NaN at the cap).
-        kappas[fed], ads[fed] = _kappa_newton(
+        # Each solve starts from the last iterate with A_d and log C_d there (NaN at the cap).
+        kappas[fed], ads[fed], log_cs[fed] = _kappa_newton(
             np.clip(norms[fed] / n_eff[fed], 1e-10, 1.0 - 1e-12), d, cfg.kappa_cap,
-            kappas[fed], ads[fed])
+            kappas[fed], ads[fed], log_cs[fed])
         weights[fed] = n_eff[fed] / n
         if not fed.all():
             # Starved components restart at their restart's worst-explained point.
@@ -267,11 +271,11 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
             reseeds[live] += np.count_nonzero(~fed, axis=1)
         weights /= weights.sum(axis=1, keepdims=True)
         del logp, resp  # free the k x n arrays before the next E-step
-        # The converged restarts leave only now: their M-step above is discarded.
-        live, prev_ll, mus, kappas, ads, weights = (
-            v[~done] for v in (live, prev_ll, mus, kappas, ads, weights))
-        if live.size == 0:
-            break
+        if leaving:  # the converged restarts leave only now: their M-step above is discarded
+            live, prev_ll, mus, kappas, ads, log_cs, weights = (
+                v[~done] for v in (live, prev_ll, mus, kappas, ads, log_cs, weights))
+            if live.size == 0:
+                break
     leave(np.ones(live.size, dtype=bool), False)
     return out
 

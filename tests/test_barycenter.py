@@ -131,6 +131,15 @@ class TestFrechetMean:
         res = frechet_mean(mus, np.full(20, 0.05), BarycenterConfig(max_iters=1))
         assert not res.converged
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+    def test_config_rejects_non_finite_or_non_positive_tol(self, tol):
+        # NaN would run every iteration and report non-convergence; inf
+        # would accept the first step as converged.
+        with pytest.raises(ValueError, match="tol"):
+            BarycenterConfig(tol=tol)
+        with pytest.raises(ValueError, match="max_iters"):
+            BarycenterConfig(max_iters=0)
+
 
 class TestBarycenter:
     def test_single_component(self):

@@ -70,6 +70,46 @@ class TestSeriesOnArrays:
             xs = np.array([x for n, x in self.GRID if n == nu])
             assert list(log_ive(nu, xs) + xs) == [log_bessel_i(nu, v) for v in xs]
 
+    @pytest.mark.parametrize("nu,seam", [(1999.0, 2761.7), (2499.0, 4376.5)])
+    def test_large_order_near_the_seam(self, nu, seam):
+        # Just below the argument where ive(nu, x) underflows, the series sum
+        # passes the float64 range (about e^798 at nu = 1999, e^1506 at 2499);
+        # its running sum is rescaled by powers of two, so log I_nu and
+        # A_d = I_{nu+1} / I_nu (d = 2 nu + 2) stay finite on both sides of the seam.
+        x = seam * np.array([0.3, 0.9, 0.99, 0.999, 0.9999, 1.0001, 1.001, 1.01])
+        assert ive(nu, x[4]) == 0.0 and ive(nu, x[5]) > 0.0
+        got_log, got_ratio = log_ive(nu, x), mean_resultant_ratio(int(2 * nu + 2), x)
+        assert list(got_ratio) == [log_bessel_i_ratio(nu, v) for v in x]
+        with mp.workdps(40):
+            for v, gl, gr in zip(x, got_log, got_ratio):
+                # log_ive cancels terms of size nu log(x / 2) to its value.
+                want = mp.log(mp.besseli(nu, v)) - v
+                assert abs(gl - want) <= 2 * EPS * nu * math.log(v / 2.0)
+                # The series ratio is within 6e-15, the ive ratio within the
+                # range grid's 1e-12 (2.9e-13 here).
+                tol = 1e-14 if ive(nu + 1.0, v) == 0.0 else 1e-12
+                assert abs(gr - mp_ratio(nu, v)) <= tol * gr
+
+
+class TestBesselCalls:
+    def test_each_order_once(self, ive_calls):
+        # log I_nu alone (log_ive, log_peak_density, the L2 kernel) never pays
+        # for order nu + 1, in any branch (x = 0, the series, ive, past ive's
+        # range, inf); A_d evaluates each order once, over all its elements.
+        x = np.concatenate([[0.0], np.geomspace(1e-6, 1e12, 200), [np.inf]])
+        for d in (2, 3, 768):
+            nu = d / 2.0 - 1.0
+            ive_calls.clear()
+            log_ive(nu, x)
+            log_peak_density(d, x)
+            assert ive_calls == [(nu, x.size)] * 2
+            ive_calls.clear()
+            mean_resultant_ratio(d, x[1:-1])
+            assert ive_calls == [(nu, 200), (nu + 1.0, 200)]
+        ive_calls.clear()
+        _l2_matrix(np.eye(3), np.array([2.0, 3.0, 4.0]))
+        assert ive_calls and {nu for nu, _ in ive_calls} == {0.5}
+
 
 class TestLogBesselI:
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 4.0, 49.0, 53.5, 383.0])
@@ -90,8 +130,9 @@ class TestLogBesselI:
                 want = mp_log_iv(nu, x)
                 assert abs(log_bessel_i(nu, x) - want) <= 1e-15 * abs(want)
                 continue
-            via_series = nu * (math.log(x) - math.log(2.0)) - gammaln(nu + 1.0) \
-                + math.log(_series(nu, np.array([x]))[0])
+            s, e = _series(nu, np.array([x]))
+            assert e[0] == 0
+            via_series = nu * (math.log(x) - math.log(2.0)) - gammaln(nu + 1.0) + math.log(s[0])
             assert via_series == pytest.approx(math.log(y) + x, rel=1e-12)
 
     def test_rejects_bad_arguments(self):

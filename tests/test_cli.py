@@ -148,6 +148,19 @@ class TestBarycenter:
         doc = json.loads(meta.read_text())
         assert doc["converged"] is True
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+    def test_bad_tol_exit_2(self, tmp_path, capsys, tol):
+        # Refused with one error line before any iteration: a NaN tolerance
+        # ran all 1,000 and exited 0, an infinite one stopped after the first.
+        src = tmp_path / "m.json"
+        write_mixture(src, VmfMixture(components=(VmfParams(mu=[1, 0, 0], kappa=1.0),
+                                                  VmfParams(mu=[0, 1, 0], kappa=4.0)),
+                                      weights=[0.5, 0.5]))
+        out = tmp_path / "b.json"
+        assert main(["barycenter", str(src), "-o", str(out), f"--tol={tol}"]) == 2
+        assert capsys.readouterr().err == "error: tol must be finite and > 0\n"
+        assert not out.exists()
+
     def test_antipodal_exit_2(self, tmp_path):
         src = tmp_path / "m.json"
         m = VmfMixture(components=(VmfParams(mu=[1, 0], kappa=1.0),
@@ -272,8 +285,8 @@ class TestSampleAndFit:
     def test_failed_concentration_solve_exit_3(self, tmp_path, capsys, monkeypatch):
         # A constant A_d never meets the mean resultant lengths, so the
         # concentration solve raises RuntimeError: one error line, exit 3.
-        monkeypatch.setattr(fit_eval, "mean_resultant_ratio",
-                            lambda d, kappa: np.full(np.shape(kappa), 0.99))
+        monkeypatch.setattr(fit_eval, "_log_ive_and_ratio",
+                            lambda nu, x, ratio: (np.zeros(np.shape(x)), np.full(np.shape(x), 0.99)))
         csv = tmp_path / "x.csv"
         np.savetxt(csv, np.repeat(np.eye(3), 4, axis=0), delimiter=",")
         code = main(["fit", str(csv), "--k", "2", "--restarts", "1",

@@ -163,7 +163,7 @@ def em_once_reference(X, cfg, rng, estep=estep_component_major):
         mus[j] = resultant / norm if norm > 0 else seeds[j]
         r_bars[j] = min(max(norm / members.size, 1e-10), 1.0 - 1e-12) if norm > 0 else 0.5
         weights[j] = members.size / n
-    kappas, ads = _kappa_newton(r_bars, d, cfg.kappa_cap)
+    kappas, ads, _ = _kappa_newton(r_bars, d, cfg.kappa_cap)
 
     weights /= weights.sum()
     prev_ll = -math.inf
@@ -182,8 +182,8 @@ def em_once_reference(X, cfg, rng, estep=estep_component_major):
         norms = np.linalg.norm(resultants, axis=1)
         fed = n_eff >= 1.0
         mus[fed] = resultants[fed] / norms[fed, None]
-        kappas[fed], ads[fed] = _kappa_newton(np.clip(norms[fed] / n_eff[fed], 1e-10, 1.0 - 1e-12),
-                                              d, cfg.kappa_cap, kappas[fed], ads[fed])
+        kappas[fed], ads[fed], _ = _kappa_newton(np.clip(norms[fed] / n_eff[fed], 1e-10, 1.0 - 1e-12),
+                                                 d, cfg.kappa_cap, kappas[fed], ads[fed])
         weights[fed] = n_eff[fed] / n
         if not fed.all():
             mus[~fed] = X[worst]
@@ -255,7 +255,7 @@ class TestArrayEm:
             r = mean_resultant_ratio(d, np.geomspace(1e-6, 1e12, 60))
             for cap in (1e5, 1e12):
                 want = np.array([kappa_mle_reference(float(v), d, cap) for v in r])
-                kappa, a = _kappa_newton(r, d, cap)
+                kappa, a, _ = _kappa_newton(r, d, cap)
                 assert np.array_equal(kappa, want[:, 0])
                 assert np.array_equal(a, want[:, 1], equal_nan=True)
                 assert [kappa_mle(float(v), d, cap) for v in r] == want[:, 0].tolist()
@@ -451,27 +451,71 @@ class TestKappaMle:
         # root, at the edges of the band around Banerjee's estimate where a
         # warm start is kept, and from a fixed grid: every element ends
         # within 1e-10 of its target by a fresh A_d, or at the cap, and the
-        # A_d returned is that at the returned kappa.
+        # A_d and log C_d returned are, bit for bit, mean_resultant_ratio and
+        # log_peak_density - kappa at the returned kappa, which the E-step
+        # would otherwise compute. The roots (kappa from about 1e-9 to the
+        # cap) reach every Bessel branch: ive, the series where ive underflows
+        # (d >= 100) and the large-argument expansion past ive's range.
+        # Started again from its own result, a solve returns it unchanged.
         r = np.concatenate([np.geomspace(1e-10, 0.5, 40), 1.0 - np.geomspace(0.5, 1e-12, 40)[1:]])
         root = _kappa_newton(r, d, cap)[0]
+        y = ive(d / 2.0 - 1.0, root)
+        assert (y == 0.0).any() == (d >= 100) and np.isnan(y).any() == (cap > 1.1e9)
         cold = np.minimum(r * (d - r * r) / (1.0 - r * r), cap)
         starts = [None, root * 1e-6, root * 1e6, cold * 0.5, cold * 1.5]
         starts += [np.full(r.size, k) for k in np.geomspace(1e-12, cap, 12)]
         for start in starts:
             start = None if start is None else np.minimum(start, cap)
-            kappa, a = _kappa_newton(r, d, cap, start)
+            kappa, a, log_c = got = _kappa_newton(r, d, cap, start)
             fresh = mean_resultant_ratio(d, kappa)
             at_cap = kappa == cap
+            known = ~np.isnan(a)
             assert np.all((np.abs(fresh - r) < 1e-10) | at_cap)
-            assert np.array_equal(a[~np.isnan(a)], fresh[~np.isnan(a)])
-            assert np.all(at_cap[np.isnan(a)])
+            assert np.array_equal(a[known], fresh[known])
+            assert np.array_equal(log_c[known], (log_peak_density(d, kappa) - kappa)[known])
+            assert np.all(at_cap[~known]) and np.array_equal(np.isnan(log_c), ~known)
+            for want, again in zip(got, _kappa_newton(r, d, cap, kappa, a, log_c)):
+                assert np.array_equal(again, want, equal_nan=True)
 
     def test_exhausted_solve_raises(self, monkeypatch):
         # An A_d that never reaches the target: after 25 steps the solve
         # raises, naming d, r_bar and kappa, instead of returning its last kappa.
-        monkeypatch.setattr(fit_eval, "mean_resultant_ratio", lambda d, kappa: np.full_like(kappa, 0.5))
+        monkeypatch.setattr(fit_eval, "_log_ive_and_ratio",
+                            lambda nu, x, ratio: (np.zeros_like(x), np.full_like(x, 0.5)))
         with pytest.raises(RuntimeError, match=r"d=3, r_bar=0\.4, kappa=[0-9.e+-]+$"):
             _kappa_newton(np.array([0.4]), 3, 1e5)
+
+
+class TestBesselCalls:
+    def test_em_estep_makes_no_bessel_call(self, ive_calls, monkeypatch):
+        # Each solve hands the E-step log C_d at its root, so no E-step, nor
+        # the scoring of a restart as it leaves, calls ive; the solves do.
+        per_call = []
+        real = fit_eval._component_log_pdfs
+
+        def watched(*args):
+            before = len(ive_calls)
+            out = real(*args)
+            per_call.append(len(ive_calls) - before)
+            return out
+
+        monkeypatch.setattr(fit_eval, "_component_log_pdfs", watched)
+        data = sample_mixture(sim2_truth(), 400, seed=3)
+        _em_restarts(data.points, FitConfig(k=4, restarts=3, seed=1), range(3))
+        assert len(per_call) > 10 and set(per_call) == {0}
+        assert ive_calls
+
+    def test_estep_evaluates_only_unknown_log_c(self, ive_calls):
+        # At the cap a solve leaves log C_d unknown (NaN): the E-step
+        # evaluates that entry alone, in place, to log_peak_density's value.
+        kappas = np.array([2.0, 1e5, 7.0])
+        want = log_peak_density(3, kappas) - kappas
+        log_c = np.where(kappas == 1e5, np.nan, want)
+        args = np.eye(3), np.eye(3), kappas, np.full(3, 1.0 / 3.0)
+        ive_calls.clear()
+        got = fit_eval._component_log_pdfs(*args, log_c)
+        assert ive_calls == [(0.5, 1)] and np.array_equal(log_c, want)
+        assert np.array_equal(got, fit_eval._component_log_pdfs(*args, want.copy()))
 
 
 class TestBic:
@@ -566,6 +610,17 @@ class TestFitEm:
         empty = SampleSet(points=np.empty((0, 2)))
         with pytest.raises(ValueError):
             fit_em(empty, FitConfig(k=1, restarts=1, seed=0))
+
+    @pytest.mark.parametrize("field,value", [
+        ("tol", math.nan), ("tol", math.inf), ("tol", 0.0), ("tol", -1e-8),
+        ("kappa_cap", math.nan), ("kappa_cap", math.inf), ("kappa_cap", 0.0),
+        ("max_iters", 0), ("k", 0), ("restarts", 0)])
+    def test_config_rejects_bad_settings(self, field, value):
+        # Each setting must be finite and positive: a NaN tolerance would
+        # never converge, an infinite one would stop after two E-steps, and
+        # a NaN cap would turn every concentration into NaN.
+        with pytest.raises(ValueError, match=field):
+            FitConfig(**{"k": 2, field: value})
 
 
 class TestKnn:
