@@ -9,7 +9,7 @@ from .barycenter import (BarycenterConfig, BarycenterResult, FrechetMeanResult,
 from .bessel import log_bessel_i, mean_resultant_ratio
 from .core import (SampleSet, VmfMixture, VmfParams, log_density,
                    log_normalizing_constant, sample, sample_mixture)
-from .fit_eval import (FitConfig, FitResult, MdsResult, bic, fit_em, kappa_mle,
+from .fit_eval import (FitConfig, FitResult, MdsResult, bic, fit_em, fit_em_many, kappa_mle,
                        knn_predict, mds_embed, mixture_log_likelihood,
                        mixture_log_pdf)
 from .geometry import (AntipodalMeansError, DistanceMatrix, TangentVector,
@@ -25,7 +25,7 @@ __all__ = [
     "DistanceMatrix", "FitConfig", "FitResult", "FrechetMeanResult",
     "MdsResult", "Partition", "ReductionTrace", "SampleSet", "TangentVector",
     "TraceEvent", "VmfMixture", "VmfParams", "barycenter", "bic", "exp_map",
-    "fit_em", "frechet_mean", "geodesic_distance", "greedy_reduce",
+    "fit_em", "fit_em_many", "frechet_mean", "geodesic_distance", "greedy_reduce",
     "hclust_single_linkage", "kappa_mle", "kmedoids", "knn_predict",
     "l2_distance", "l2_distance_mc", "log_bessel_i", "log_density", "log_map",
     "log_normalizing_constant", "mds_embed", "mean_resultant_ratio",

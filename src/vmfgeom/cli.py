@@ -141,6 +141,13 @@ def _cmd_experiment(args) -> None:
         print(f"{key}: {value}")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's seed sequences take only non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vmfgeom",
@@ -165,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mixture")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=["greedy", "hclust", "kmedoids"], default="greedy")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--trace", help="write merge events as JSON lines")
     p.set_defaults(func=_cmd_reduce)
@@ -174,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("samples")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--header", action="store_true", help="sample CSV has a header row")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--meta", required=True, help="metadata JSON output")
@@ -183,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw labeled samples from a mixture file")
     p.add_argument("mixture")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--header", action="store_true", help="write a header row")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_sample)
@@ -204,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a built-in synthetic experiment")
     p.add_argument("--scenario", choices=["sim1", "sim2"], required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_experiment)
 

@@ -204,9 +204,12 @@ def _em_start(X: np.ndarray, k: int, kappa_cap: float, rng: np.random.Generator)
     return (mus, *_kappa_newton(r_bars, d, kappa_cap), weights / weights.sum())
 
 
-def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
-    """EM restarts advanced together; a (mixture, log-likelihood, iterations,
-    converged, reseeds, history) tuple per restart, in order.
+def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
+    """EM restarts of one config advanced together, as a generator: at each
+    M-step it yields the (r_bar, kappa, A_d, log C_d) of its fed components
+    and takes back their solved (kappa, A_d, log C_d). It returns a
+    (mixture, log-likelihood, iterations, converged, reseeds, history) tuple
+    per restart, in order.
 
     The restarts still iterating stack along the first axis of every array
     and leave when they converge. The E-step arrays are (restart, component,
@@ -219,7 +222,7 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
     responsibility below tiny is zeroed, which moves each resultant
     coordinate by less than n * tiny.
     """
-    n, d = X.shape
+    n = X.shape[0]
     mus, kappas, ads, log_cs, weights = map(np.stack, zip(*(
         _em_start(X, cfg.k, cfg.kappa_cap, substream(cfg.seed, "em-restart", r)) for r in restarts)))
     live = np.arange(len(restarts))  # block positions of the restarts still iterating
@@ -258,10 +261,6 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
         norms = np.linalg.norm(resultants, axis=2)
         fed = n_eff >= 1.0
         mus[fed] = resultants[fed] / norms[fed, None]
-        # Each solve starts from the last iterate with A_d and log C_d there (NaN at the cap).
-        kappas[fed], ads[fed], log_cs[fed] = _kappa_newton(
-            np.clip(norms[fed] / n_eff[fed], 1e-10, 1.0 - 1e-12), d, cfg.kappa_cap,
-            kappas[fed], ads[fed], log_cs[fed])
         weights[fed] = n_eff[fed] / n
         if not fed.all():
             # Starved components restart at their restart's worst-explained point.
@@ -270,7 +269,10 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
             weights[~fed] = 1.0 / n
             reseeds[live] += np.count_nonzero(~fed, axis=1)
         weights /= weights.sum(axis=1, keepdims=True)
-        del logp, resp  # free the k x n arrays before the next E-step
+        del logp, resp  # free the k x n arrays before the solve waits on the other groups
+        # Each solve starts from the last iterate with A_d and log C_d there (NaN at the cap).
+        r_bar = np.clip(norms[fed] / n_eff[fed], 1e-10, 1.0 - 1e-12)
+        kappas[fed], ads[fed], log_cs[fed] = yield r_bar, kappas[fed], ads[fed], log_cs[fed]
         if leaving:  # the converged restarts leave only now: their M-step above is discarded
             live, prev_ll, mus, kappas, ads, log_cs, weights = (
                 v[~done] for v in (live, prev_ll, mus, kappas, ads, log_cs, weights))
@@ -278,6 +280,83 @@ def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
                 break
     leave(np.ones(live.size, dtype=bool), False)
     return out
+
+
+def _em_lockstep(X: np.ndarray, jobs: list) -> list:
+    """The _em_group of each (config, restarts) job advanced in lockstep, a
+    list of its results per job. Each iteration makes one _kappa_newton call
+    on every group's fed components, concatenated, and hands each group its
+    slice: the solve is elementwise, so each value is the one a solve of the
+    group alone returns. The configs share max_iters, tol and kappa_cap."""
+    groups = [_em_group(X, cfg, restarts) for cfg, restarts in jobs]
+    asks, out = [next(g) for g in groups], [None] * len(groups)
+    while running := [i for i, o in enumerate(out) if o is None]:
+        r_bar, kappa, a, log_c = (np.concatenate(v) for v in zip(*(asks[i] for i in running)))
+        solved = _kappa_newton(r_bar, X.shape[1], jobs[0][0].kappa_cap, kappa, a, log_c)
+        ends = np.cumsum([asks[i][0].size for i in running]).tolist()
+        for i, lo, hi in zip(running, [0] + ends, ends):
+            try:
+                asks[i] = groups[i].send([v[lo:hi] for v in solved])
+            except StopIteration as stop:
+                out[i] = stop.value
+    return out
+
+
+def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
+    """The restarts of one config advanced together, alone in their block."""
+    return _em_lockstep(X, [(cfg, restarts)])[0]
+
+
+def _em_blocks(cfgs, width: int):
+    """The (config index, restarts) jobs of each block, in order: the
+    restarts of the configs, in order, fill blocks of at most _EM_BLOCK
+    elements at k * width each, and a restart larger than that has a block
+    of its own. Planned as they are taken, so one block's jobs are held at a
+    time whatever the restart counts."""
+    block, used = [], 0
+    for i, cfg in enumerate(cfgs):
+        size, first = cfg.k * width, 0
+        while first < cfg.restarts:
+            if used + size > _EM_BLOCK and block:
+                yield block
+                block, used = [], 0
+            stop = min(cfg.restarts, first + max(1, (_EM_BLOCK - used) // size))
+            block.append((i, range(first, stop)))
+            used += size * (stop - first)
+            first = stop
+    if block:
+        yield block
+
+
+def fit_em_many(data: SampleSet, cfgs) -> list:
+    """fit_em for each config, all fitted in lockstep; each FitResult is bit
+    for bit the one fit_em returns for its config.
+
+    The configs may differ in k, restarts and seed but must share max_iters,
+    tol and kappa_cap. Their restarts fill blocks of bounded size
+    (_em_blocks), and each block advances in lockstep with one concentration
+    solve per iteration for all its restarts.
+    """
+    X = data.points
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit an empty sample")
+    for name in ("max_iters", "tol", "kappa_cap"):
+        if len({getattr(cfg, name) for cfg in cfgs}) > 1:
+            raise ValueError(f"configs fitted together must share {name}")
+    for cfg in cfgs:
+        if cfg.k >= X.shape[0]:
+            raise ValueError(f"need more observations than components ({cfg.k} >= {X.shape[0]})")
+
+    best = [None] * len(cfgs)
+    for block in _em_blocks(cfgs, sum(X.shape)):
+        for (i, _), results in zip(block, _em_lockstep(X, [(cfgs[i], r) for i, r in block])):
+            for result in results:  # the first restart with the highest log-likelihood wins
+                if best[i] is None or result[1] > best[i][1]:
+                    best[i] = result
+    return [FitResult(mixture=mixture, log_likelihood=ll, bic=bic(ll, cfg.k, data.d, data.n),
+                      iterations=iterations, converged=converged, reseeds=reseeds,
+                      history=history)
+            for cfg, (mixture, ll, iterations, converged, reseeds, history) in zip(cfgs, best)]
 
 
 def fit_em(data: SampleSet, cfg: FitConfig) -> FitResult:
@@ -288,23 +367,7 @@ def fit_em(data: SampleSet, cfg: FitConfig) -> FitResult:
     block when it converges; the first with the highest final log-likelihood
     wins. Non-convergence within max_iters is reported, not raised.
     """
-    X = data.points
-    if X.shape[0] == 0:
-        raise ValueError("cannot fit an empty sample")
-    if cfg.k >= X.shape[0]:
-        raise ValueError(f"need more observations than components ({cfg.k} >= {X.shape[0]})")
-
-    size = max(1, _EM_BLOCK // (sum(X.shape) * cfg.k))
-    best = None
-    for first in range(0, cfg.restarts, size):
-        for result in _em_restarts(X, cfg, range(first, min(first + size, cfg.restarts))):
-            if best is None or result[1] > best[1]:
-                best = result
-    mixture, ll, iterations, converged, reseeds, history = best
-    score = bic(ll, cfg.k, data.d, data.n)
-    return FitResult(mixture=mixture, log_likelihood=ll, bic=score,
-                     iterations=iterations, converged=converged,
-                     reseeds=reseeds, history=history)
+    return fit_em_many(data, [cfg])[0]
 
 
 def knn_predict(distances, train_labels, k: int) -> int:

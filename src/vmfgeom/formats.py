@@ -28,8 +28,8 @@ def mixture_to_dict(m: VmfMixture) -> dict:
     return {
         "dim": m.d,
         "components": [
-            {"weight": float(w), "mu": [float(v) for v in c.mu], "kappa": c.kappa}
-            for c, w in zip(m.components, m.weights)
+            {"weight": w, "mu": c.mu.tolist(), "kappa": c.kappa}
+            for c, w in zip(m.components, m.weights.tolist())
         ],
     }
 
@@ -133,7 +133,7 @@ def write_trace(path, trace: ReductionTrace) -> None:
                 "step": step,
                 "merged": list(event.merged),
                 "weight": float(event.weight),
-                "mu": [float(v) for v in event.result.mu],
+                "mu": event.result.mu.tolist(),
                 "kappa": event.result.kappa,
             }
             fh.write(json.dumps(doc) + "\n")

@@ -388,6 +388,32 @@ class TestExperimentCommand:
         assert exc.value.code == 2
 
 
+class TestSeedOption:
+    @pytest.mark.parametrize("command", [
+        ["reduce", "m.json", "--k", "1", "-o"], ["fit", "s.csv", "--k", "2", "--meta", "m", "-o"],
+        ["sample", "m.json", "--n", "5", "-o"], ["experiment", "--scenario", "sim2", "--out"]])
+    @pytest.mark.parametrize("seed", ["-1", "-9999999999999999999999", "1.5", "x"])
+    def test_bad_seed_rejected_before_running(self, tmp_path, capsys, command, seed):
+        # numpy's generators refuse negative seeds with a message that does
+        # not name the flag, and the experiment had made --out by then.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, str(out), "--seed", seed])
+        assert exc.value.code == 2
+        assert f"argument --seed: expected a non-negative integer, got {seed!r}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_and_huge_seeds_accepted(self, tmp_path):
+        path = write_single(tmp_path / "a.json", [1.0, 0.0], 2.0)
+        outs = []
+        for seed in ("0", str(2 ** 80)):
+            out = tmp_path / f"s{seed}.csv"
+            assert main(["sample", path, "--n", "3", "-o", str(out), "--seed", seed]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] != outs[1]
+
+
 # Malformed mixture documents: wrong types, missing keys, non-finite and
 # out-of-range numbers, odd nesting, next to well-formed entries.
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**400, 10**400),

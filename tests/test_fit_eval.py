@@ -14,10 +14,11 @@ from vmfgeom import (DistanceMatrix, FitConfig, SampleSet, VmfMixture, VmfParams
                      mean_resultant_ratio, mixture_log_likelihood, sample, sample_mixture,
                      geodesic_distance)
 from vmfgeom import fit_eval
-from vmfgeom.experiments import SIM2_N, _derived_seed, sim2_truth
+from vmfgeom.experiments import SIM2_FIT_RANGE, SIM2_N, _derived_seed, sim2_truth
 from vmfgeom.bessel import _TINY
 from vmfgeom.core import log_peak_density
-from vmfgeom.fit_eval import _EM_BLOCK, _em_restarts, _kappa_newton, _seed_directions
+from vmfgeom.fit_eval import (_EM_BLOCK, _em_restarts, _kappa_newton, _seed_directions,
+                              fit_em_many)
 from vmfgeom.rng import substream
 
 mp.mp.dps = 40
@@ -241,6 +242,13 @@ def five_clusters_768(n, seed):
     return sample_mixture(truth, n, seed=seed + 1).points
 
 
+def sim2_sweep(seed):
+    """sim2's sample and its K = 2..10 fit configs at an experiment seed."""
+    data = sample_mixture(sim2_truth(), SIM2_N, seed=_derived_seed(seed, "sim2-sample"))
+    return data, [FitConfig(k=k, restarts=10, seed=_derived_seed(seed, "sim2-fit", k))
+                  for k in SIM2_FIT_RANGE]
+
+
 def astuple_fit(fit):
     return (fit.mixture, fit.log_likelihood, fit.iterations, fit.converged, fit.reseeds,
             fit.history)
@@ -401,6 +409,111 @@ class TestRestartBlocks:
         # block's arrays, not one per restart.
         assert peaks[1] <= 1.1 * peaks[0]
         assert peaks[1] < 3 * 8 * _EM_BLOCK  # three block-sized float64 arrays
+
+
+class TestFitEmMany:
+    """A sweep fitted in lockstep against a separate fit_em per config."""
+
+    @staticmethod
+    def assert_fits_equal(got, want):
+        assert_same_fit(astuple_fit(got), astuple_fit(want))
+        assert got.bic == want.bic
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sim2_sweep_bit_identical(self, seed):
+        data, cfgs = sim2_sweep(seed)
+        fits = fit_em_many(data, cfgs)
+        assert len(fits) == len(cfgs)
+        for got, cfg in zip(fits, cfgs):
+            self.assert_fits_equal(got, fit_em(data, cfg))
+
+    def test_sweep_spans_blocks(self, monkeypatch):
+        # 11 restarts at k = 20 leave room for two at k = 15 and the other
+        # 15 leave room for one more at k = 20: the second and the third
+        # config are each split across two blocks.
+        data = sample_mixture(sim2_truth(), 1000, seed=3)
+        size = sum(data.points.shape)
+        cfgs = [FitConfig(k=20, restarts=11, max_iters=8, seed=4),
+                FitConfig(k=15, restarts=17, max_iters=8, seed=5),
+                FitConfig(k=20, restarts=3, max_iters=8, seed=6)]
+        blocks = []
+        real = fit_eval._em_lockstep
+
+        def recording(X, jobs):
+            blocks.append([(cfg.k, restarts) for cfg, restarts in jobs])
+            return real(X, jobs)
+
+        monkeypatch.setattr(fit_eval, "_em_lockstep", recording)
+        fits = fit_em_many(data, cfgs)
+        assert blocks == [[(20, range(0, 11)), (15, range(0, 2))],
+                          [(15, range(2, 17)), (20, range(0, 1))], [(20, range(1, 3))]]
+        assert all(sum(k * size * len(r) for k, r in block) <= _EM_BLOCK for block in blocks)
+        for got, cfg in zip(fits, cfgs, strict=True):
+            self.assert_fits_equal(got, fit_em(data, cfg))
+
+    def test_blocks_planned_as_they_run(self, monkeypatch):
+        # A huge restart count starts its first block at once: the plan is
+        # not built ahead, so it holds one block's jobs, not one per block.
+        class Started(Exception):
+            pass
+
+        def first_block(X, jobs):
+            raise Started(jobs)
+
+        monkeypatch.setattr(fit_eval, "_em_lockstep", first_block)
+        data = sample_mixture(sim2_truth(), 60, seed=1)
+        with pytest.raises(Started) as exc:
+            fit_em(data, FitConfig(k=3, restarts=10 ** 15))
+        [(cfg, restarts)] = exc.value.args[0]
+        assert cfg.restarts == 10 ** 15 and restarts == range(_EM_BLOCK // (3 * 62))
+
+    def test_configs_may_differ_in_k_restarts_and_seed(self):
+        data = sample_mixture(sim2_truth(), 300, seed=8)
+        cfgs = [FitConfig(k=3, restarts=2, seed=1), FitConfig(k=2, restarts=5, seed=7),
+                FitConfig(k=3, restarts=2, seed=1)]
+        fits = fit_em_many(data, cfgs)
+        for got, cfg in zip(fits, cfgs, strict=True):
+            self.assert_fits_equal(got, fit_em(data, cfg))
+        assert fit_em_many(data, []) == []
+
+    @pytest.mark.parametrize("field,value", [("max_iters", 499), ("tol", 1e-7),
+                                             ("kappa_cap", 1e4)])
+    def test_mismatched_settings_rejected(self, field, value):
+        # The restarts of one block run the same iterations and share one
+        # concentration solve, so these settings must agree.
+        data = sample_mixture(sim2_truth(), 50, seed=1)
+        with pytest.raises(ValueError, match=field):
+            fit_em_many(data, [FitConfig(k=2), FitConfig(k=3, **{field: value})])
+
+    def test_errors_name_the_config(self):
+        data = sample_mixture(sim2_truth(), 10, seed=1)
+        with pytest.raises(ValueError, match="10 >= 10"):
+            fit_em_many(data, [FitConfig(k=2), FitConfig(k=10)])
+
+    def test_sim2_sweep_pools_the_solves(self, ive_calls, monkeypatch):
+        # sim2 seed 0: one _kappa_newton call per batched iteration (500, the
+        # slowest restart's) plus one per restart start (90), where nine
+        # separate fits make 3,697. The solves hold the same concentrations
+        # and evaluate each as often: the ive elements are unchanged.
+        sizes = []
+        real = fit_eval._kappa_newton
+
+        def counting(r_bar, *args):
+            sizes.append(r_bar.size)
+            return real(r_bar, *args)
+
+        monkeypatch.setattr(fit_eval, "_kappa_newton", counting)
+        data, cfgs = sim2_sweep(0)
+        for cfg in cfgs:
+            fit_em(data, cfg)
+        separate = len(sizes), sum(sizes), len(ive_calls), sum(size for _, size in ive_calls)
+        sizes.clear()
+        ive_calls.clear()
+        fit_em_many(data, cfgs)
+        pooled = len(sizes), sum(sizes), len(ive_calls), sum(size for _, size in ive_calls)
+        assert separate[0] == 3697 and pooled[0] == 500 + 90
+        assert pooled[1] == separate[1] and pooled[3] == separate[3]
+        assert pooled[2] < separate[2] / 4
 
 
 class TestKappaMle:

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vmfgeom import (DistanceMatrix, SampleSet, VmfMixture, VmfParams,
-                     greedy_reduce, pairwise_matrix, sample)
+from vmfgeom import (DistanceMatrix, ReductionTrace, SampleSet, TraceEvent, VmfMixture,
+                     VmfParams, greedy_reduce, pairwise_matrix, sample)
 from vmfgeom.formats import (mixture_from_dict, mixture_to_dict,
                              read_distance_matrix, read_mixture, read_samples,
                              single_component, write_distance_matrix,
@@ -169,6 +169,50 @@ class TestDistanceCsv:
         path = tmp_path / "d.csv"
         write_distance_matrix(path, dm)
         assert "3.1415926535897931" in path.read_text()
+
+
+def old_float_lists(doc):
+    """doc with every float list rebuilt element by element, as the writers
+    did before they took .tolist()."""
+    return {key: [float(v) for v in value] if key == "mu" else value for key, value in doc.items()}
+
+
+class TestFloatListBytes:
+    """The float lists come from .tolist(); the bytes are those of the
+    element-by-element [float(v) for v in ...] they replace."""
+
+    @staticmethod
+    def mixture_768():
+        rng = np.random.default_rng(0)
+        mus = rng.standard_normal((3, 768))
+        mus[:, 5:7] = 0.0
+        mus /= np.linalg.norm(mus, axis=1, keepdims=True)
+        mus[:, 5], mus[:, 6] = -0.0, 5e-324  # the norm does not change
+        assert str(mus[0, 5]) == "-0.0" and mus[0, 6] == 5e-324
+        return VmfMixture(components=tuple(VmfParams(mu=m, kappa=k) for m, k in
+                                           zip(mus, (2.0, 5e-324, 1e5))),
+                          weights=[0.5, 0.25, 0.25])
+
+    def test_mixture_json_bytes(self, tmp_path):
+        m = self.mixture_768()
+        want = {"dim": 768, "components": [old_float_lists({"weight": float(w), "mu": c.mu,
+                                                            "kappa": c.kappa})
+                                           for c, w in zip(m.components, m.weights)]}
+        write_mixture(tmp_path / "m.json", m)
+        text = (tmp_path / "m.json").read_text()
+        assert text == json.dumps(want, indent=2) + "\n"
+        assert "-0.0," in text and "5e-324" in text
+
+    def test_trace_bytes(self, tmp_path):
+        m = self.mixture_768()
+        events = tuple(TraceEvent(merged=(j, j + 1), result=c, weight=w)
+                       for j, (c, w) in enumerate(zip(m.components, m.weights)))
+        trace = ReductionTrace(events=events, method="greedy")
+        write_trace(tmp_path / "t.jsonl", trace)
+        want = "".join(json.dumps(old_float_lists({
+            "step": s, "merged": list(e.merged), "weight": float(e.weight), "mu": e.result.mu,
+            "kappa": e.result.kappa})) + "\n" for s, e in enumerate(events))
+        assert (tmp_path / "t.jsonl").read_text() == want
 
 
 class TestTraceJsonl:
