@@ -74,8 +74,6 @@ def _cmd_reduce(args) -> None:
             reduced, trace = partitional_reduce(m, args.k, method=args.method, seed=args.seed)
     except AntipodalMeansError as err:
         raise CliError(3, f"reduction aborted: {err}") from err
-    except ValueError as err:
-        raise CliError(2, str(err)) from err
     formats.write_mixture(args.output, reduced)
     if args.trace:
         formats.write_trace(args.trace, trace)
@@ -86,11 +84,7 @@ def _cmd_fit(args) -> None:
         data = formats.read_samples(args.samples, header=args.header)
     except (ValueError, OSError) as err:
         raise CliError(2, f"{args.samples}: {err}") from err
-    cfg = FitConfig(k=args.k, restarts=args.restarts, seed=args.seed)
-    try:
-        result = fit_em(data, cfg)
-    except ValueError as err:
-        raise CliError(2, str(err)) from err
+    result = fit_em(data, FitConfig(k=args.k, restarts=args.restarts, seed=args.seed))
     formats.write_mixture(args.output, result.mixture)
     formats.write_fit_metadata(args.meta, result)
 
@@ -108,15 +102,15 @@ def _cmd_interpolate(args) -> None:
     b = formats.single_component(_load_mixture(args.b))
     if args.steps < 1:
         raise CliError(2, "--steps must be >= 1")
-    os.makedirs(args.output_dir, exist_ok=True)
-    try:
-        for i in range(args.steps + 1):
-            p = wl_interpolate(a, b, i / args.steps)
-            out = VmfMixture(components=(p,), weights=[1.0])
-            formats.write_mixture(
-                os.path.join(args.output_dir, f"interp_{i:03d}.json"), out)
+    try:  # a pair with no geodesic, or no unique one, is refused before any output
+        wl_interpolate(a, b, 0.5)
     except AntipodalMeansError as err:
         raise CliError(2, f"no unique geodesic: {err}") from err
+    os.makedirs(args.output_dir, exist_ok=True)
+    for i in range(args.steps + 1):
+        p = wl_interpolate(a, b, i / args.steps)
+        out = VmfMixture(components=(p,), weights=[1.0])
+        formats.write_mixture(os.path.join(args.output_dir, f"interp_{i:03d}.json"), out)
 
 
 def _cmd_embed(args) -> None:
@@ -124,10 +118,7 @@ def _cmd_embed(args) -> None:
         dm = formats.read_distance_matrix(args.matrix)
     except (ValueError, OSError) as err:
         raise CliError(2, f"{args.matrix}: {err}") from err
-    try:
-        result = mds_embed(dm, dim=args.dim)
-    except ValueError as err:
-        raise CliError(2, str(err)) from err
+    result = mds_embed(dm, dim=args.dim)
     formats.write_coordinates(args.output, result.coords)
     if result.padded:
         print(f"warning: only {result.n_positive} positive eigenvalues; "

@@ -147,29 +147,20 @@ def run_sim2(seed: int, out_dir: str) -> dict:
         ll = mixture_log_likelihood(mixture, data.points)
         return bic(ll, mixture.k, mixture.d, data.n)
 
-    table = {"k": [], "fitted": [], "greedy": [], "hclust": [], "kmedoids": []}
-    reduced_at = {}
-    for k in SIM2_FIT_RANGE:
-        table["k"].append(k)
-        table["fitted"].append(fits[k].bic)
-        if k == 10:
-            for method in ("greedy", "hclust", "kmedoids"):
-                table[method].append(fits[10].bic)
-            continue
-        mix, trace = greedy_reduce(base, k)
-        table["greedy"].append(reduced_bic(mix))
-        reduced_at.setdefault("greedy", {})[k] = (mix, trace)
-        for method in ("hclust", "kmedoids"):
-            mix, trace = partitional_reduce(
-                base, k, method=method,
-                seed=_derived_seed(seed, "sim2-reduce", method, k))
-            table[method].append(reduced_bic(mix))
-            reduced_at.setdefault(method, {})[k] = (mix, trace)
-
+    table = {"k": list(SIM2_FIT_RANGE), "fitted": [fits[k].bic for k in SIM2_FIT_RANGE]}
     for method in ("greedy", "hclust", "kmedoids"):
-        mix, trace = reduced_at[method][4]
-        write_mixture(os.path.join(out_dir, f"reduced_{method}_k4.json"), mix)
-        write_trace(os.path.join(out_dir, f"trace_{method}_k4.jsonl"), trace)
+        table[method] = []
+        for k in SIM2_FIT_RANGE[:-1]:  # the K = 10 fit is its own reduction
+            if method == "greedy":
+                mix, trace = greedy_reduce(base, k)
+            else:
+                mix, trace = partitional_reduce(
+                    base, k, method=method, seed=_derived_seed(seed, "sim2-reduce", method, k))
+            table[method].append(reduced_bic(mix))
+            if k == 4:
+                write_mixture(os.path.join(out_dir, f"reduced_{method}_k4.json"), mix)
+                write_trace(os.path.join(out_dir, f"trace_{method}_k4.jsonl"), trace)
+        table[method].append(fits[10].bic)
 
     with open(os.path.join(out_dir, "bic.csv"), "w", encoding="utf-8") as fh:
         fh.write("k,fitted,greedy,hclust,kmedoids\n")

@@ -15,22 +15,21 @@ from .core import SampleSet, VmfMixture, VmfParams, _log_peak, log_peak_density
 from .rng import substream
 
 
+# An EM restart stops once an iteration moves its log-likelihood by at most
+# TOL relative to it, or after MAX_ITERS; concentrations stop at KAPPA_CAP.
+MAX_ITERS, TOL, KAPPA_CAP = 500, 1e-8, 1e5
+
+
 @dataclass(frozen=True)
 class FitConfig:
     k: int
     restarts: int = 10
-    max_iters: int = 500
-    tol: float = 1e-8
     seed: int = 0
-    kappa_cap: float = 1e5
 
     def __post_init__(self):
-        for name in ("k", "restarts", "max_iters"):
+        for name in ("k", "restarts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("tol", "kappa_cap"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,7 @@ _EM_BLOCK = 1 << 18  # elements per block of restarts, at (n + d) k each: 2 MB a
 _LOG_TINY = math.log(_TINY)  # exp(x) < tiny exactly when x < _LOG_TINY
 
 
-def _em_start(X: np.ndarray, k: int, kappa_cap: float, rng: np.random.Generator):
+def _em_start(X: np.ndarray, k: int, rng: np.random.Generator):
     """One restart's initial (mus, kappas, A_d and log C_d at kappas,
     weights) from k-means++ seeds."""
     n, d = X.shape
@@ -201,7 +200,7 @@ def _em_start(X: np.ndarray, k: int, kappa_cap: float, rng: np.random.Generator)
         mus[j] = resultant / norm if norm > 0 else seeds[j]
         r_bars[j] = min(max(norm / members.size, 1e-10), 1.0 - 1e-12) if norm > 0 else 0.5
         weights[j] = members.size / n
-    return (mus, *_kappa_newton(r_bars, d, kappa_cap), weights / weights.sum())
+    return (mus, *_kappa_newton(r_bars, d, KAPPA_CAP), weights / weights.sum())
 
 
 def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
@@ -224,7 +223,7 @@ def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
     """
     n = X.shape[0]
     mus, kappas, ads, log_cs, weights = map(np.stack, zip(*(
-        _em_start(X, cfg.k, cfg.kappa_cap, substream(cfg.seed, "em-restart", r)) for r in restarts)))
+        _em_start(X, cfg.k, substream(cfg.seed, "em-restart", r)) for r in restarts)))
     live = np.arange(len(restarts))  # block positions of the restarts still iterating
     prev_ll, reseeds = np.full(live.size, -np.inf), np.zeros(live.size, dtype=np.int64)
     history, out = [[] for _ in live], [None] * live.size
@@ -233,13 +232,13 @@ def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
     def leave(done, converged):
         for p, m, c, lc, w in zip(live[done], mus[done], kappas[done], log_cs[done], weights[done]):
             mixture = VmfMixture(components=tuple(map(VmfParams, m, c)), weights=w)
-            # Scored as returned: one M-step past the last history entry at max_iters.
+            # Scored as returned: one M-step past the last history entry at MAX_ITERS.
             ll = float(logsumexp(_component_log_pdfs(X, m, c, mixture.weights, lc), axis=0).sum())
             if not converged:
                 history[p].append(ll)
             out[p] = (mixture, ll, iterations, converged, int(reseeds[p]), tuple(history[p]))
 
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         logp = _component_log_pdfs(X, mus, kappas, weights, log_cs)
         top = logp.max(axis=1)
         logp -= top[:, None]
@@ -249,7 +248,7 @@ def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
         ll = (top + np.log(total)).sum(axis=1)
         for p, v in zip(live, ll.tolist()):
             history[p].append(v)
-        done = np.isfinite(prev_ll) & (np.abs(ll - prev_ll) <= cfg.tol * np.abs(ll))
+        done = np.isfinite(prev_ll) & (np.abs(ll - prev_ll) <= TOL * np.abs(ll))
         if leaving := done.any():
             leave(done, True)
         prev_ll = ll
@@ -287,12 +286,12 @@ def _em_lockstep(X: np.ndarray, jobs: list) -> list:
     list of its results per job. Each iteration makes one _kappa_newton call
     on every group's fed components, concatenated, and hands each group its
     slice: the solve is elementwise, so each value is the one a solve of the
-    group alone returns. The configs share max_iters, tol and kappa_cap."""
+    group alone returns."""
     groups = [_em_group(X, cfg, restarts) for cfg, restarts in jobs]
     asks, out = [next(g) for g in groups], [None] * len(groups)
     while running := [i for i, o in enumerate(out) if o is None]:
         r_bar, kappa, a, log_c = (np.concatenate(v) for v in zip(*(asks[i] for i in running)))
-        solved = _kappa_newton(r_bar, X.shape[1], jobs[0][0].kappa_cap, kappa, a, log_c)
+        solved = _kappa_newton(r_bar, X.shape[1], KAPPA_CAP, kappa, a, log_c)
         ends = np.cumsum([asks[i][0].size for i in running]).tolist()
         for i, lo, hi in zip(running, [0] + ends, ends):
             try:
@@ -332,17 +331,13 @@ def fit_em_many(data: SampleSet, cfgs) -> list:
     """fit_em for each config, all fitted in lockstep; each FitResult is bit
     for bit the one fit_em returns for its config.
 
-    The configs may differ in k, restarts and seed but must share max_iters,
-    tol and kappa_cap. Their restarts fill blocks of bounded size
-    (_em_blocks), and each block advances in lockstep with one concentration
-    solve per iteration for all its restarts.
+    The restarts of the configs fill blocks of bounded size (_em_blocks),
+    and each block advances in lockstep with one concentration solve per
+    iteration for all its restarts.
     """
     X = data.points
     if X.shape[0] == 0:
         raise ValueError("cannot fit an empty sample")
-    for name in ("max_iters", "tol", "kappa_cap"):
-        if len({getattr(cfg, name) for cfg in cfgs}) > 1:
-            raise ValueError(f"configs fitted together must share {name}")
     for cfg in cfgs:
         if cfg.k >= X.shape[0]:
             raise ValueError(f"need more observations than components ({cfg.k} >= {X.shape[0]})")
@@ -365,7 +360,7 @@ def fit_em(data: SampleSet, cfg: FitConfig) -> FitResult:
     Each restart seeds the initializer from its own derived stream. The
     restarts advance together in blocks of bounded size, each leaving its
     block when it converges; the first with the highest final log-likelihood
-    wins. Non-convergence within max_iters is reported, not raised.
+    wins. Non-convergence within MAX_ITERS is reported, not raised.
     """
     return fit_em_many(data, [cfg])[0]
 

@@ -317,6 +317,19 @@ class TestInterpolate:
         mid = read_mixture(out / "interp_002.json")
         assert mid.components[0].kappa == pytest.approx(16.0 / 9.0, abs=1e-12)
 
+    @pytest.mark.parametrize("steps", ["1", "4"])
+    @pytest.mark.parametrize("mu", [[-1.0, 0.0, 0.0], [0.0, 1.0]])
+    def test_refused_pair_leaves_no_output(self, tmp_path, laws, capsys, mu, steps):
+        # Antipodal means have no unique geodesic and laws of another
+        # dimension none at all: both exit 2 before the directory is made,
+        # also at one step, whose two files are the endpoints alone.
+        a, _ = laws
+        b = write_single(tmp_path / "other.json", mu, 4.0)
+        out = tmp_path / "steps"
+        assert main(["interpolate", a, b, "--steps", steps, "-o", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestEmbed:
     def test_embed_matrix(self, tmp_path):

@@ -1,5 +1,6 @@
 """EM fitting, concentration MLE, BIC, KNN, and classical MDS."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -77,16 +78,16 @@ def em_reference(X, cfg, rng):
         norm = float(np.linalg.norm(resultant))
         mus[j] = resultant / norm if norm > 0 else seeds[j]
         r_bar = min(max(norm / members.size, 1e-10), 1.0 - 1e-12) if norm > 0 else 0.5
-        kappas[j], ads[j] = kappa_mle_reference(r_bar, d, cfg.kappa_cap)
+        kappas[j], ads[j] = kappa_mle_reference(r_bar, d, fit_eval.KAPPA_CAP)
         weights[j] = members.size / n
     weights /= weights.sum()
     prev_ll, reseeds, subnormals, converged = -math.inf, 0, 0, False
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, fit_eval.MAX_ITERS + 1):
         log_c = np.array([log_normalizing_constant(d, kap) for kap in kappas])
         logp = np.log(weights) + log_c + kappas * (X @ mus.T)
         lse = logsumexp(logp, axis=1)
         ll = float(lse.sum())
-        if math.isfinite(prev_ll) and abs(ll - prev_ll) <= cfg.tol * abs(ll):
+        if math.isfinite(prev_ll) and abs(ll - prev_ll) <= fit_eval.TOL * abs(ll):
             converged = True
             break
         prev_ll = ll
@@ -104,7 +105,7 @@ def em_reference(X, cfg, rng):
                 mus[j] = resultant / norm
                 # Warm start: the last iterate and A_d there.
                 kappas[j], ads[j] = kappa_mle_reference(
-                    min(max(norm / n_eff[j], 1e-10), 1.0 - 1e-12), d, cfg.kappa_cap,
+                    min(max(norm / n_eff[j], 1e-10), 1.0 - 1e-12), d, fit_eval.KAPPA_CAP,
                     kappas[j], ads[j])
                 weights[j] = n_eff[j] / n
         weights /= weights.sum()
@@ -146,9 +147,11 @@ def estep_point_major(X, mus, kappas, weights):
 def em_once_reference(X, cfg, rng, estep=estep_component_major):
     """One EM restart on its own, with the given E-step: the loop fit_em ran
     before restarts were advanced together. Returns (mixture,
-    log-likelihood, iterations, converged, reseeds, history)."""
+    log-likelihood, iterations, converged, reseeds, history). Reads EM's
+    constants when called, so a test that patches one patches it here too."""
     n, d = X.shape
     k = cfg.k
+    max_iters, tol, kappa_cap = fit_eval.MAX_ITERS, fit_eval.TOL, fit_eval.KAPPA_CAP
 
     seeds = _seed_directions(X, k, rng)
     assign = np.argmax(X @ seeds.T, axis=1)
@@ -164,7 +167,7 @@ def em_once_reference(X, cfg, rng, estep=estep_component_major):
         mus[j] = resultant / norm if norm > 0 else seeds[j]
         r_bars[j] = min(max(norm / members.size, 1e-10), 1.0 - 1e-12) if norm > 0 else 0.5
         weights[j] = members.size / n
-    kappas, ads, _ = _kappa_newton(r_bars, d, cfg.kappa_cap)
+    kappas, ads, _ = _kappa_newton(r_bars, d, kappa_cap)
 
     weights /= weights.sum()
     prev_ll = -math.inf
@@ -172,10 +175,10 @@ def em_once_reference(X, cfg, rng, estep=estep_component_major):
     reseeds = 0
     converged = False
     iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         ll, n_eff, resultants, worst = estep(X, mus, kappas, weights)
         history.append(ll)
-        if math.isfinite(prev_ll) and abs(ll - prev_ll) <= cfg.tol * abs(ll):
+        if math.isfinite(prev_ll) and abs(ll - prev_ll) <= tol * abs(ll):
             converged = True
             break
         prev_ll = ll
@@ -184,7 +187,7 @@ def em_once_reference(X, cfg, rng, estep=estep_component_major):
         fed = n_eff >= 1.0
         mus[fed] = resultants[fed] / norms[fed, None]
         kappas[fed], ads[fed], _ = _kappa_newton(np.clip(norms[fed] / n_eff[fed], 1e-10, 1.0 - 1e-12),
-                                                 d, cfg.kappa_cap, kappas[fed], ads[fed])
+                                                 d, kappa_cap, kappas[fed], ads[fed])
         weights[fed] = n_eff[fed] / n
         if not fed.all():
             mus[~fed] = X[worst]
@@ -388,11 +391,12 @@ class TestRestartBlocks:
         assert sum(products) == 0
         assert sum(size for size, _ in outputs) > 20_000
 
-    def test_restarts_span_blocks_with_bounded_memory(self):
+    def test_restarts_span_blocks_with_bounded_memory(self, monkeypatch):
+        monkeypatch.setattr(fit_eval, "MAX_ITERS", 8)
         data = sample_mixture(sim2_truth(), 1000, seed=3)
         n, d = data.points.shape
         block = _EM_BLOCK // ((n + d) * 20)
-        cfg = FitConfig(k=20, restarts=2 * block + 3, max_iters=8, seed=4)
+        cfg = FitConfig(k=20, restarts=2 * block + 3, seed=4)
         blocks = [range(0, block), range(block, 2 * block), range(2 * block, cfg.restarts)]
         wants = assert_restarts_match_oracle(data.points, cfg, blocks)
         lls = [w[1] for w in wants]
@@ -400,7 +404,7 @@ class TestRestartBlocks:
         for restarts in (block, cfg.restarts):
             tracemalloc.start()
             try:
-                fit = fit_em(data, FitConfig(k=20, restarts=restarts, max_iters=8, seed=4))
+                fit = fit_em(data, FitConfig(k=20, restarts=restarts, seed=4))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -431,11 +435,11 @@ class TestFitEmMany:
         # 11 restarts at k = 20 leave room for two at k = 15 and the other
         # 15 leave room for one more at k = 20: the second and the third
         # config are each split across two blocks.
+        monkeypatch.setattr(fit_eval, "MAX_ITERS", 8)
         data = sample_mixture(sim2_truth(), 1000, seed=3)
         size = sum(data.points.shape)
-        cfgs = [FitConfig(k=20, restarts=11, max_iters=8, seed=4),
-                FitConfig(k=15, restarts=17, max_iters=8, seed=5),
-                FitConfig(k=20, restarts=3, max_iters=8, seed=6)]
+        cfgs = [FitConfig(k=20, restarts=11, seed=4), FitConfig(k=15, restarts=17, seed=5),
+                FitConfig(k=20, restarts=3, seed=6)]
         blocks = []
         real = fit_eval._em_lockstep
 
@@ -475,15 +479,6 @@ class TestFitEmMany:
         for got, cfg in zip(fits, cfgs, strict=True):
             self.assert_fits_equal(got, fit_em(data, cfg))
         assert fit_em_many(data, []) == []
-
-    @pytest.mark.parametrize("field,value", [("max_iters", 499), ("tol", 1e-7),
-                                             ("kappa_cap", 1e4)])
-    def test_mismatched_settings_rejected(self, field, value):
-        # The restarts of one block run the same iterations and share one
-        # concentration solve, so these settings must agree.
-        data = sample_mixture(sim2_truth(), 50, seed=1)
-        with pytest.raises(ValueError, match=field):
-            fit_em_many(data, [FitConfig(k=2), FitConfig(k=3, **{field: value})])
 
     def test_errors_name_the_config(self):
         data = sample_mixture(sim2_truth(), 10, seed=1)
@@ -729,11 +724,15 @@ class TestFitEm:
         ("kappa_cap", math.nan), ("kappa_cap", math.inf), ("kappa_cap", 0.0),
         ("max_iters", 0), ("k", 0), ("restarts", 0)])
     def test_config_rejects_bad_settings(self, field, value):
-        # Each setting must be finite and positive: a NaN tolerance would
-        # never converge, an infinite one would stop after two E-steps, and
-        # a NaN cap would turn every concentration into NaN.
-        with pytest.raises(ValueError, match=field):
+        # k and restarts must be at least 1. max_iters, tol and kappa_cap are
+        # module constants, not settings: a config that names one is refused.
+        error = ValueError if field in ("k", "restarts") else TypeError
+        with pytest.raises(error, match=field):
             FitConfig(**{"k": 2, field: value})
+
+    def test_config_carries_only_what_callers_choose(self):
+        assert [f.name for f in dataclasses.fields(FitConfig)] == ["k", "restarts", "seed"]
+        assert (fit_eval.MAX_ITERS, fit_eval.TOL, fit_eval.KAPPA_CAP) == (500, 1e-8, 1e5)
 
 
 class TestKnn:

@@ -48,6 +48,27 @@ class TestGeodesicDistance:
         x = random_unit(np.random.default_rng(0), 5)
         assert geodesic_distance(x, x.copy()) == pytest.approx(0.0, abs=1e-7)
 
+    @pytest.mark.parametrize("d", [2, 3, 768])
+    def test_small_and_near_pi_angles_match_mpmath(self, d):
+        # Unit vectors from 1e-12 rad to pi - 1e-9 apart, against the angle
+        # between their directions at 60 digits. Their norms are 1 only to
+        # rounding, which moves that angle by up to about eps, so the bound is
+        # absolute: 2 eps. acos of the cosine returned 0 below about 1.5e-8
+        # rad, and was 4.4e-5 relative off at 1e-6.
+        rng = np.random.default_rng(d)
+        angles = np.concatenate([np.geomspace(1e-12, 1.0, 25),
+                                 math.pi - np.geomspace(1e-9, 1.0, 25)])
+        for angle in angles:
+            x, u = random_unit(rng, d), rng.standard_normal(d)
+            u -= (u @ x) * x
+            y = math.cos(angle) * x + math.sin(angle) * u / np.linalg.norm(u)
+            y /= np.linalg.norm(y)
+            with mpmath.workdps(60):
+                ux, uy = (mpmath.matrix(v.tolist()) / mpmath.norm(mpmath.matrix(v.tolist()))
+                          for v in (x, y))
+                want = 2 * mpmath.atan2(mpmath.norm(ux - uy), mpmath.norm(ux + uy))
+                assert abs(geodesic_distance(x, y) - want) <= 2 * np.finfo(float).eps, angle
+
 
 class TestWlDistance:
     def test_coincident_laws(self):

@@ -124,8 +124,9 @@ def test_first_call_binds_scipy_in_bessel():
 
 def test_only_bessel_imports_scipy():
     # Nor does any other module call ive or gammaln, so log I_nu keeps one
-    # implementation, bessel.log_ive.
-    importers, callers = set(), set()
+    # implementation, bessel.log_ive. And no module reads the environment:
+    # every setting is an argument or a module constant.
+    importers, callers, env_readers = set(), set(), set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
@@ -135,8 +136,15 @@ def test_only_bessel_imports_scipy():
             func = node.func if isinstance(node, ast.Call) else None
             if getattr(func, "id", getattr(func, "attr", None)) in ("ive", "gammaln"):
                 callers.add(path.name)
+            os_names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                        and node.module == "os" else
+                        [node.attr] if isinstance(node, ast.Attribute)
+                        and getattr(node.value, "id", None) == "os" else [])
+            if {"environ", "environb", "getenv", "getenvb"} & set(os_names):
+                env_readers.add(path.name)
     assert importers == {"bessel.py"}
     assert callers == {"bessel.py"}
+    assert env_readers == set()
 
 
 def test_traced_names_resolve():
