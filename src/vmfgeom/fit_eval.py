@@ -398,6 +398,8 @@ def mds_embed(dm, dim: int) -> MdsResult:
     """
     d = dm.entries
     n = d.shape[0]
+    if n < 2:
+        raise ValueError(f"an embedding needs at least 2 points, got {n}")
     if not 1 <= dim < n:
         raise ValueError(f"dim must be in [1, {n - 1}], got {dim}")
     j = np.eye(n) - np.ones((n, n)) / n

@@ -107,7 +107,25 @@ def read_samples(path, header: bool = False) -> SampleSet:
 
 
 def write_distance_matrix(path, dm: DistanceMatrix) -> None:
-    np.savetxt(path, dm.entries, delimiter=",", fmt=_FMT)
+    """The bytes of np.savetxt(path, dm.entries, delimiter=",", fmt=_FMT),
+    with each entry above the diagonal formatted once: its text goes into
+    its own row and, comma-terminated, into its column's buffer, which
+    becomes the start of the mirror's row. Rows stream out one at a time,
+    so the buffers peak at about n^2 / 4 entries' text, below the matrix's
+    own 8 n^2 bytes. A row where a zero mirrors a zero of the other sign
+    (DistanceMatrix's symmetry test takes -0.0 == 0.0) is formatted from
+    its own values."""
+    m, fmt = dm.entries, _FMT.encode()
+    lower = [bytearray() for _ in m]  # row j's text left of its diagonal
+    with open(path, "wb") as fh:
+        for i, row in enumerate(m):
+            head, lower[i] = lower[i], None
+            if np.any(np.signbit(row[:i]) != np.signbit(m[:i, i])):
+                head = b"".join([fmt % v + b"," for v in row[:i].tolist()])
+            tail = b",".join([fmt] * (len(m) - i)) % tuple(row[i:].tolist())
+            fh.write(head + tail + b"\n")
+            for col, text in zip(lower[i + 1:], tail.split(b",")[1:]):
+                col += text + b","
 
 
 def read_distance_matrix(path) -> DistanceMatrix:

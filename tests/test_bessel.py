@@ -263,6 +263,7 @@ class TestRangeGrid:
         assert np.all(np.abs(peak - want_peak) <= 1e-14 * np.maximum(np.abs(want_peak), 1.0))
         assert list(got) == list(peak - self.KAPPAS)
 
+    @pytest.mark.slow
     def test_l2_matrix(self, oracle):
         # Closed form: L2^2 = int f_p^2 + int f_q^2 - 2 C(k_p) C(k_q) / C(|k_p mu_p + k_q mu_q|)
         # with int f^2 = C(k)^2 / C(2 k). The kernel's absolute error bound is

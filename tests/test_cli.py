@@ -347,6 +347,12 @@ class TestEmbed:
         src.write_text("0,1\n2,0\n")
         assert main(["embed", str(src), "-o", str(tmp_path / "c.csv")]) == 2
 
+    def test_one_point_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "d.csv"
+        src.write_text("0\n")
+        assert main(["embed", str(src), "-o", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err == "error: an embedding needs at least 2 points, got 1\n"
+
 
 class TestStderrLines:
     """What the CLI writes to stderr: its own one-line messages, never a
@@ -456,12 +462,14 @@ class TestMalformedMixtureFuzz:
                       "dist": [path, path]}[command]
             return main([command, *inputs, *options])
 
+    @pytest.mark.slow
     @settings(max_examples=150)
     @given(doc=_MIXTURE, method=st.sampled_from(["greedy", "hclust", "kmedoids"]))
     @example(doc=_HUGE_INT, method="greedy")
     def test_reduce_exit_codes(self, doc, method):
         assert self.exit_code(doc, "reduce", "--method", method) in (0, 2, 3)
 
+    @pytest.mark.slow
     @settings(max_examples=150)
     @given(doc=_MIXTURE, metric=st.sampled_from(["wl", "l2"]))
     @example(doc={"components": [{"mu": [10**400, 0], "kappa": 1.0, "weight": 1.0}]}, metric="wl")

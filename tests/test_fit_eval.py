@@ -278,6 +278,7 @@ class TestArrayEm:
                     assert np.array_equal(got[0], warm[:, 0])
                     assert np.array_equal(got[1], warm[:, 1], equal_nan=True)
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_em_matches_component_loop(self, seed):
         # Four orthogonal modes at kappa = 720 in R^5: log-densities of other
@@ -301,6 +302,7 @@ class TestRestartBlocks:
     """The restarts advanced together against each restart run alone
     (em_once_reference), bit for bit."""
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("k", [2, 7, 10])
     def test_sim2_seed0_restarts_bit_identical(self, k):
         # sim2 seed 0: at K = 2 and 7 restarts stop both by convergence and at
@@ -316,6 +318,7 @@ class TestRestartBlocks:
         lls = [w[1] for w in wants]
         assert_same_fit(astuple_fit(fit_em(data, cfg)), wants[lls.index(max(lls))])
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("k", [2, 7, 10])
     def test_sim2_seed0_matches_point_major_loop(self, k):
         # Against the loop before the component-major layout: the division in
@@ -423,6 +426,7 @@ class TestFitEmMany:
         assert_same_fit(astuple_fit(got), astuple_fit(want))
         assert got.bic == want.bic
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("seed", [0, 1])
     def test_sim2_sweep_bit_identical(self, seed):
         data, cfgs = sim2_sweep(seed)
@@ -485,6 +489,7 @@ class TestFitEmMany:
         with pytest.raises(ValueError, match="10 >= 10"):
             fit_em_many(data, [FitConfig(k=2), FitConfig(k=10)])
 
+    @pytest.mark.slow
     def test_sim2_sweep_pools_the_solves(self, ive_calls, monkeypatch):
         # sim2 seed 0: one _kappa_newton call per batched iteration (500, the
         # slowest restart's) plus one per restart start (90), where nine
@@ -811,3 +816,8 @@ class TestMds:
         for dim in (0, 3):
             with pytest.raises(ValueError):
                 mds_embed(DistanceMatrix(entries=d), dim)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_points(self, n):
+        with pytest.raises(ValueError, match=f"at least 2 points, got {n}$"):
+            mds_embed(DistanceMatrix(entries=np.zeros((n, n))), 1)

@@ -6,9 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from vmfgeom import (DistanceMatrix, ReductionTrace, SampleSet, TraceEvent, VmfMixture,
                      VmfParams, greedy_reduce, pairwise_matrix, sample)
+from vmfgeom.experiments import sim1_population
 from vmfgeom.formats import (mixture_from_dict, mixture_to_dict,
                              read_distance_matrix, read_mixture, read_samples,
                              single_component, write_distance_matrix,
@@ -169,6 +171,73 @@ class TestDistanceCsv:
         path = tmp_path / "d.csv"
         write_distance_matrix(path, dm)
         assert "3.1415926535897931" in path.read_text()
+
+
+def old_distance_matrix(path, entries):
+    """The writer before each entry above the diagonal was formatted once."""
+    np.savetxt(path, entries, delimiter=",", fmt="%.17g")
+
+
+@pytest.fixture(scope="module")
+def sim1_matrices():
+    laws, _ = sim1_population(0)
+    return {metric: pairwise_matrix(laws, metric=metric) for metric in ("wl", "l2")}
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric nonnegative matrices whose zeros may carry either sign, so a
+    zero can mirror a zero of the other sign."""
+    n = draw(st.integers(1, 8))
+    upper = draw(st.lists(st.floats(min_value=0.0, allow_infinity=False)
+                          | st.sampled_from([0.0, 5e-324, 1.7976931348623157e308]),
+                          min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = upper
+    d += d.T
+    negative = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    return np.where(negative.reshape(n, n) & (d == 0.0), -0.0, d)
+
+
+class TestDistanceCsvBytes:
+    """Each entry above the diagonal is formatted once and mirrored; the
+    bytes are those of the old np.savetxt writer."""
+
+    @staticmethod
+    def assert_old_bytes(tmp, entries):
+        write_distance_matrix(tmp / "new.csv", DistanceMatrix(entries=entries))
+        old_distance_matrix(tmp / "old.csv", entries)
+        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("metric", ["wl", "l2"])
+    def test_sim1_matrices(self, tmp_path, sim1_matrices, metric):
+        self.assert_old_bytes(tmp_path, sim1_matrices[metric].entries)
+
+    @pytest.mark.parametrize("entries", [
+        np.zeros((1, 1)), [[-0.0]], [[0.0, 2.5], [2.5, 0.0]],
+        [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]],
+        [[-0.0, 0.0, 1.5], [-0.0, 0.0, -0.0], [1.5, 0.0, -0.0]],
+        [[0.0, 5e-324, 1.7976931348623157e308], [5e-324, 0.0, 0.1],
+         [1.7976931348623157e308, 0.1, 0.0]],
+    ], ids=["n1", "n1-negative-zero", "n2", "n3", "mirrored-signed-zeros", "extremes"])
+    def test_small_and_edge_matrices(self, tmp_path, entries):
+        self.assert_old_bytes(tmp_path, np.asarray(entries, dtype=np.float64))
+
+    @given(symmetric_matrices())
+    def test_symmetric_matrices(self, tmp_path_factory, entries):
+        self.assert_old_bytes(tmp_path_factory.mktemp("dm"), entries)
+
+    def test_write_peak_below_the_matrix(self, tmp_path, sim1_matrices):
+        dm = sim1_matrices["l2"]
+        tracemalloc.start()
+        try:
+            write_distance_matrix(tmp_path / "d.csv", dm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Streamed rows and per-column buffers: formatting every entry
+        # before writing, or a whole-matrix .tolist(), cannot pass.
+        assert dm.n == 400 and peak < dm.entries.nbytes
 
 
 def old_float_lists(doc):

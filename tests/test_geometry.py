@@ -48,6 +48,7 @@ class TestGeodesicDistance:
         x = random_unit(np.random.default_rng(0), 5)
         assert geodesic_distance(x, x.copy()) == pytest.approx(0.0, abs=1e-7)
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("d", [2, 3, 768])
     def test_small_and_near_pi_angles_match_mpmath(self, d):
         # Unit vectors from 1e-12 rad to pi - 1e-9 apart, against the angle

@@ -336,6 +336,7 @@ class TestGreedyReduce:
             with pytest.raises(ValueError):
                 greedy_reduce(m, bad)
 
+    @pytest.mark.slow
     @settings(max_examples=300)
     @given(duplicated_mixtures())
     def test_matches_reference_under_ties(self, m):
@@ -396,6 +397,7 @@ class TestSingleLinkage:
         for a, b in zip(got, want):
             assert mapping.setdefault(a, b) == b
 
+    @pytest.mark.slow
     @settings(max_examples=300)
     @given(tie_matrices())
     def test_matches_reference_under_ties(self, d):
@@ -477,6 +479,7 @@ class TestKmedoids:
             full = partition_cost(dm, kmedoids(dm, 3, seed=seed))
             assert full <= build_only + 1e-12
 
+    @pytest.mark.slow
     @settings(max_examples=300)
     @given(tie_matrices(), st.integers(0, 3))
     def test_matches_reference_under_ties(self, d, seed):
