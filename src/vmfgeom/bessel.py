@@ -31,11 +31,22 @@ def _deferred(name: str):
 
 
 # The only scipy import in vmfgeom; core and fit_eval take these from here.
-gammaln, ive, logsumexp = map(_deferred, ("gammaln", "ive", "logsumexp"))
+gammaln, ive, i0e, i1e, logsumexp = map(_deferred, ("gammaln", "ive", "i0e", "i1e", "logsumexp"))
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _TINY = np.finfo(np.float64).tiny
 _SCALE = 900  # a series sum past 2^900 is scaled by 2^-900, far from overflow
+_IVE_MAX = 2.0 ** 30 - 0.5  # scipy's ive is NaN past |x| = 2^30 - 1/2 (scipy 1.17.1)
+
+
+def _ive(nu: float, x):
+    """scipy's ive(nu, x) elementwise over an array x. Orders 0 and 1 take
+    its i0e and i1e instead, about four times faster and no less accurate,
+    set to NaN exactly where ive is NaN (|x| > _IVE_MAX, and +-inf), so every
+    branch of _log_ive_and_ratio keeps its domain."""
+    if nu == 0.0 or nu == 1.0:
+        return np.where(np.abs(x) <= _IVE_MAX, (i1e if nu else i0e)(x), np.nan)
+    return ive(nu, x)
 
 
 def _series(nu: float, x):
@@ -60,11 +71,11 @@ def _series(nu: float, x):
 
 def _log_ive_and_ratio(nu: float, x, ratio: bool):
     """(log ive_nu(x), I_{nu+1}(x) / I_nu(x)) elementwise over an array x; the
-    ratio only if asked for (else None, with no ive call at order nu + 1).
+    ratio only if asked for (else None, with no _ive call at order nu + 1).
 
-    The log is that of scipy's ive where ive is a normal float; where it
+    The log is that of _ive (scipy's ive) where that is a normal float; where it
     underflows (small x, large nu), log((x/2)^nu / Gamma(nu + 1) * _series(nu, x));
-    where ive fails (NaN above x ~ 1.09e9), the large-argument expansion
+    where ive fails (NaN past _IVE_MAX ~ 1.07e9), the large-argument expansion
     (DLMF 10.40.1) (2 pi x)^(-1/2) (1 - (mu-1)/(8x) + (mu-1)(mu-9)/(2 (8x)^2))
     with mu = 4 nu^2, whose next term is below 1e-12 relative for x >> nu^2.
     x = 0 gives log I_nu(0) exactly, and x = inf gives NaN.
@@ -78,7 +89,7 @@ def _log_ive_and_ratio(nu: float, x, ratio: bool):
     if ratio and not (ok := (x > 0.0) & (x < np.inf)).all():
         raise ValueError(f"bessel ratio requires finite x > 0, got {x[~ok][0]}")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        den = ive(nu, x)
+        den = _ive(nu, x)
         out, num, r = np.log(den), None, None
         if (big := np.isnan(den) & (x < np.inf)).any():  # (8x)^2 may overflow, leaving c2 = 0
             xb, mu = x[big], 4.0 * nu * nu
@@ -86,7 +97,7 @@ def _log_ive_and_ratio(nu: float, x, ratio: bool):
             c2 = (mu - 1.0) * (mu - 9.0) / (2.0 * (8.0 * xb) ** 2)
             out[big] = np.log1p(c1 + c2) - 0.5 * (_LOG_2PI + np.log(xb))
         if ratio:
-            num = ive(nu + 1.0, x)
+            num = _ive(nu + 1.0, x)
             r = num / den
             if (big := np.isnan(num)).any():  # 8x may overflow, leaving the last term 0
                 xb, c1, c2 = x[big], 2.0 * nu + 1.0, (2.0 * nu + 1.0) * (2.0 * nu - 1.0)
@@ -121,7 +132,9 @@ def log_bessel_i(nu: float, x: float) -> float:
 
 
 def log_bessel_i_ratio(nu: float, x: float) -> float:
-    """I_{nu+1}(x) / I_nu(x) for one finite x > 0."""
+    """I_{nu+1}(x) / I_nu(x) for nu >= 0 and one finite x > 0."""
+    if nu < 0.0:
+        raise ValueError(f"bessel ratio requires nu >= 0, got {nu}")
     return float(_log_ive_and_ratio(nu, np.reshape(x, -1), True)[1][0])
 
 

@@ -259,7 +259,8 @@ def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
         resultants = resp @ X
         norms = np.linalg.norm(resultants, axis=2)
         fed = n_eff >= 1.0
-        mus[fed] = resultants[fed] / norms[fed, None]
+        moved = fed & (norms > 0.0)  # a zero resultant leaves its direction, as in _em_start
+        mus[moved] = resultants[moved] / norms[moved, None]
         weights[fed] = n_eff[fed] / n
         if not fed.all():
             # Starved components restart at their restart's worst-explained point.

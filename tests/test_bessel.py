@@ -1,13 +1,15 @@
 """Log-Bessel evaluation against an arbitrary-precision oracle (mpmath)."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gammaln, ive
+from scipy.special import gammaln, i0e, i1e, ive
 
-from vmfgeom.bessel import _series, log_bessel_i, log_bessel_i_ratio, log_ive, mean_resultant_ratio
+from vmfgeom.bessel import (_IVE_MAX, _ive, _series, log_bessel_i, log_bessel_i_ratio, log_ive,
+                            mean_resultant_ratio)
 from vmfgeom.core import log_normalizing_constant, log_peak_density
 from vmfgeom.fit_eval import kappa_mle
 from vmfgeom.geometry import _l2_matrix
@@ -210,6 +212,16 @@ class TestRatio:
         with pytest.raises(ValueError):
             mean_resultant_ratio(1, 1.0)
 
+    @pytest.mark.parametrize("nu,x", [(-3.0, 1e-300), (-1.0, 1e-310), (-0.5, 2.0)])
+    def test_ratio_rejects_negative_order(self, nu, x):
+        # The series branch assumes nu >= 0: it gave -2.5e-301 at (-3, 1e-300),
+        # where I_{-2} / I_{-3} = I_2 / I_3 ~ 6e300, and divided by zero at
+        # (-1, 1e-310). log_bessel_i refuses nu < 0 the same way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="nu >= 0"):
+                log_bessel_i_ratio(nu, x)
+
 
 class TestRangeGrid:
     """A_d, kappa_mle, log C_d and exact L2 against mpmath over the whole
@@ -362,3 +374,75 @@ class TestRangeGrid:
         kappa = kappa_mle(1.0 - 1e-12, 2)
         assert math.isfinite(kappa)
         assert mean_resultant_ratio(2, kappa) == pytest.approx(1.0 - 1e-12, abs=1e-10)
+
+
+class TestOrdersZeroAndOne:
+    """Orders 0 and 1 (all of d = 2, and the denominator of A_4) come from
+    scipy's i0e and i1e, NaN where ive is NaN, against 40-digit mpmath for
+    kappa from 1e-8 to 2^30."""
+
+    KAPPAS = np.concatenate([np.geomspace(1e-8, 2.0 ** 30, 60), [_IVE_MAX]])
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        """log ive_0, log ive_1, A_2, A_4 and the relative error of scipy's
+        ive(2, kappa) at every kappa."""
+        out = []
+        with mp.workdps(40):
+            for k in self.KAPPAS:
+                x = mp.mpf(float(k))
+                i0, i1, i2 = (mp.besseli(nu, x) for nu in (0, 1, 2))
+                ive2 = i2 * mp.exp(-x)
+                out.append([mp.log(i0) - x, mp.log(i1) - x, i1 / i0, i2 / i1,
+                            abs(mp.mpf(float(ive(2.0, k))) - ive2) / ive2])
+        return np.array(out, dtype=float).T
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0])
+    def test_log_ive(self, oracle, nu):
+        # The range grid's log C_d bound.
+        want = oracle[int(nu)]
+        got = log_ive(nu, self.KAPPAS)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_mean_resultant_ratio(self, oracle, d):
+        # A_2 = i1e / i0e is within 6e-16 of mpmath here (ive's ratio: 2.8e-15).
+        # A_4 divides ive(2, kappa), which is up to 4.4e-15 off below kappa ~
+        # 1e-4, by i1e: the bound is 2e-15 beyond that numerator's own error
+        # (none at 2^30, past ive's range, where the expansion serves).
+        want = oracle[d // 2 + 1]
+        got = mean_resultant_ratio(d, self.KAPPAS)
+        own = np.nan_to_num(oracle[4]) if d == 4 else 0.0
+        assert np.all(np.abs(got - want) <= (2e-15 + own) * want)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0])
+    def test_nan_exactly_where_ive_is(self, nu):
+        edge = np.array([_IVE_MAX, np.nextafter(_IVE_MAX, np.inf), 2.0 ** 30, 1e300, np.inf])
+        x = np.concatenate([[0.0, 1e-300, 1.0, 1e9], edge, -edge, [np.nan]])
+        got, want = _ive(nu, x), ive(nu, x)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.isnan(got).sum() == 9
+        ok = ~np.isnan(want)
+        assert np.array_equal(got[ok], (i0e if nu == 0.0 else i1e)(x[ok]))
+
+    def test_zero_and_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_ive(0.0, np.array([0.0]))[0] == 0.0
+            assert log_ive(1.0, np.array([0.0]))[0] == -np.inf
+            for nu in (0.0, 1.0):
+                assert np.isnan(log_ive(nu, np.array([np.inf]))[0])
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_expansion_past_ives_range(self, d):
+        # Past 2^30 - 1/2 the large-argument expansion serves, as it does for
+        # ive at every other order: i1e / i0e is 2 ulp off at 1.2e9.
+        kappas = np.array([np.nextafter(_IVE_MAX, np.inf), 2.0 ** 30, 1.2e9, 1e12])
+        got, got_log = mean_resultant_ratio(d, kappas), log_ive(d / 2.0 - 1.0, kappas)
+        with mp.workdps(40):
+            for k, g, gl in zip(kappas, got, got_log):
+                x = mp.mpf(float(k))
+                i_nu, i_up = mp.besseli(d // 2 - 1, x), mp.besseli(d // 2, x)
+                assert abs(mp.mpf(g) - i_up / i_nu) <= EPS * g
+                want = mp.log(i_nu) - x
+                assert abs(gl - want) <= 1e-14 * abs(want)

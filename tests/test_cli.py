@@ -296,6 +296,17 @@ class TestSampleAndFit:
         assert err.startswith("error: concentration solve did not converge")
         assert err.count("\n") == 1
 
+    def test_fit_zero_resultant_converges_quietly(self, tmp_path, capsys):
+        # The two points cancel, so the one component's resultant is 0: its
+        # direction stays put, with no 0 / 0 warning, and the fit converges.
+        csv = tmp_path / "opposite.csv"
+        csv.write_text("1,0\n-1,0\n")
+        meta = tmp_path / "m.json"
+        assert main(["fit", str(csv), "--k", "1", "-o", str(tmp_path / "x.json"),
+                     "--meta", str(meta)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(meta.read_text())["converged"] is True
+
     def test_fit_k_too_large_exit_2(self, tmp_path):
         csv = tmp_path / "tiny.csv"
         csv.write_text("1,0\n0,1\n-1,0\n")

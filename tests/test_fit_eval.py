@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -704,6 +705,24 @@ class TestFitEm:
         assert not fit.converged
         assert fit.log_likelihood == mixture_log_likelihood(fit.mixture, data.points)
         assert fit.history[-1] == fit.log_likelihood
+
+    @pytest.mark.parametrize("points,log_area", [
+        ([[1.0, 0.0], [-1.0, 0.0]], math.log(2.0 * math.pi)),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
+         math.log(4.0 * math.pi))], ids=["circle", "sphere"])
+    def test_zero_resultant_keeps_direction(self, points, log_area):
+        # The points cancel, so a fed component's resultant is 0: its direction
+        # stays where it was, as the initial one does, rather than 0 / 0 (which
+        # reseeded every other iteration, with a NaN log-likelihood, for all
+        # MAX_ITERS). The fit is then all but uniform.
+        data = SampleSet(points=np.array(points))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_em(data, FitConfig(k=1, restarts=2, seed=0))
+        assert fit.converged and fit.reseeds == 0 and fit.iterations < 10
+        assert np.all(np.isfinite(fit.history))
+        assert np.linalg.norm(fit.mixture.components[0].mu) == pytest.approx(1.0)
+        assert fit.log_likelihood == pytest.approx(-len(points) * log_area)
 
     def test_deterministic_given_seed(self):
         truth = sim2_truth()

@@ -80,7 +80,8 @@ def test_bessel_free_commands_never_load_scipy(files):
 
 @pytest.mark.parametrize("command", ["l2", "fit"])
 def test_bessel_commands_load_scipy(files, command):
-    # The import is deferred, not removed: log C_d and A_d need scipy's ive.
+    # The import is deferred, not removed: log C_d and A_d need scipy's ive
+    # (i0e and i1e at orders 0 and 1).
     f = files
     argv = (["dist", f["a"], f["b"], "--metric", "l2"] if command == "l2" else
             ["fit", f["samples"], "--k", "2", "--restarts", "1", "-o", f["out"] + "/fit.json",
@@ -89,7 +90,7 @@ def test_bessel_commands_load_scipy(files, command):
 
 
 # Wraps fit_eval.logsumexp before its first call, as the benchmark's tracer
-# does, then evaluates a mixture density three times.
+# does, then evaluates a mixture density three times, and one on the circle.
 _WRAPPED = """
 import json
 import numpy as np
@@ -102,28 +103,33 @@ fit_eval.logsumexp = counting
 m = VmfMixture(components=(VmfParams(mu=[1.0, 0.0, 0.0], kappa=2.0),), weights=[1.0])
 values = [fit_eval.mixture_log_pdf(m, np.eye(3)).tolist() for _ in range(3)]
 import scipy.special as sp
-print(json.dumps([len(calls), fit_eval.logsumexp is counting,
-                  [getattr(bessel, n) is getattr(sp, n) for n in ("gammaln", "ive", "logsumexp")],
-                  values]))
+names = ("gammaln", "ive", "i0e", "i1e", "logsumexp")
+counted, bound = len(calls), [getattr(bessel, n) is getattr(sp, n) for n in names]
+circle = VmfMixture(components=(VmfParams(mu=[1.0, 0.0], kappa=2.0),), weights=[1.0])
+fit_eval.mixture_log_pdf(circle, np.eye(2))
+print(json.dumps([counted, fit_eval.logsumexp is counting, bound,
+                  [getattr(bessel, n) is getattr(sp, n) for n in names], values]))
 """
 
 
 def test_first_call_binds_scipy_in_bessel():
     # A stand-in's first call puts scipy's function in its place in bessel,
     # so bessel's own later calls skip it; gammaln, which only the series
-    # branch calls and kappa = 2 does not reach, stays the stand-in. A wrapper that holds the
-    # stand-in stays bound and sees every call.
+    # branch calls and kappa = 2 does not reach, stays the stand-in, and so
+    # do i0e and i1e until an order 0 or 1 (here d = 2) needs one. A wrapper
+    # that holds the stand-in stays bound and sees every call.
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     run = subprocess.run([sys.executable, "-c", _WRAPPED], capture_output=True, text=True,
                          env=env, check=True)
-    calls, kept, bound, values = json.loads(run.stdout)
-    assert (calls, kept, bound) == (3, True, [False, True, True])
+    calls, kept, bound, bound_after_circle, values = json.loads(run.stdout)
+    assert (calls, kept, bound) == (3, True, [False, True, False, False, True])
+    assert bound_after_circle == [False, True, True, False, True]
     law = VmfMixture(components=(VmfParams(mu=[1.0, 0.0, 0.0], kappa=2.0),), weights=[1.0])
     assert values == [vmfgeom.mixture_log_pdf(law, np.eye(3)).tolist()] * 3
 
 
 def test_only_bessel_imports_scipy():
-    # Nor does any other module call ive or gammaln, so log I_nu keeps one
+    # Nor does any other module call ive, i0e, i1e or gammaln, so log I_nu keeps one
     # implementation, bessel.log_ive. And no module reads the environment:
     # every setting is an argument or a module constant.
     importers, callers, env_readers = set(), set(), set()
@@ -134,7 +140,7 @@ def test_only_bessel_imports_scipy():
             if any(n.partition(".")[0] == "scipy" for n in names):
                 importers.add(path.name)
             func = node.func if isinstance(node, ast.Call) else None
-            if getattr(func, "id", getattr(func, "attr", None)) in ("ive", "gammaln"):
+            if getattr(func, "id", getattr(func, "attr", None)) in ("ive", "i0e", "i1e", "gammaln"):
                 callers.add(path.name)
             os_names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
                         and node.module == "os" else
