@@ -4,8 +4,8 @@ Distances, geodesic interpolation, barycenters, mixture reduction, EM
 fitting, and the synthetic experiments that exercise them end to end.
 """
 
-from .barycenter import (BarycenterConfig, BarycenterResult, FrechetMeanResult,
-                         barycenter, frechet_mean, optimal_kappa)
+from .barycenter import (BarycenterResult, FrechetMeanResult, barycenter, frechet_mean,
+                         optimal_kappa)
 from .bessel import log_bessel_i, mean_resultant_ratio
 from .core import (SampleSet, VmfMixture, VmfParams, log_density,
                    log_normalizing_constant, sample, sample_mixture)
@@ -21,7 +21,7 @@ from .reduction import (Partition, ReductionTrace, TraceEvent, greedy_reduce,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntipodalMeansError", "BarycenterConfig", "BarycenterResult",
+    "AntipodalMeansError", "BarycenterResult",
     "DistanceMatrix", "FitConfig", "FitResult", "FrechetMeanResult",
     "MdsResult", "Partition", "ReductionTrace", "SampleSet", "TangentVector",
     "TraceEvent", "VmfMixture", "VmfParams", "barycenter", "bic", "exp_map",

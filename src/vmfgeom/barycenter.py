@@ -16,16 +16,9 @@ from .core import VmfParams
 from .geometry import AntipodalMeansError, _exp
 
 
-@dataclass(frozen=True)
-class BarycenterConfig:
-    max_iters: int = 1000
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+# The Frechet mean stops once an iteration moves its iterate by less than
+# TOL, or after MAX_ITERS.
+MAX_ITERS, TOL = 1000, 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,13 +78,13 @@ def _weighted_log_sum(mu: np.ndarray, mus: np.ndarray, weights: np.ndarray) -> n
     return (weights * scale) @ proj
 
 
-def frechet_mean(mus, weights, cfg: BarycenterConfig = BarycenterConfig()) -> FrechetMeanResult:
+def frechet_mean(mus, weights) -> FrechetMeanResult:
     """Weighted Frechet mean of unit vectors under the arc-length metric.
 
     Initialized at the normalized weighted Euclidean average (the extrinsic
     mean), then iterated with the unit step mu <- Exp_mu(sum_i w_i
     Log_mu(mu_i)) until the ambient l2 change of the iterate falls below
-    cfg.tol. The Hessian of (1/2) sum_i w_i theta_i^2 has its eigenvalues in
+    TOL. The Hessian of (1/2) sum_i w_i theta_i^2 has its eigenvalues in
     [0, 1] at a minimizer, so the unit step converges wherever a shorter
     one does (Afsari, Tron & Vidal 2013); on two directions it lands on
     their weighted geodesic point at once. Uniqueness is guaranteed when
@@ -116,18 +109,18 @@ def frechet_mean(mus, weights, cfg: BarycenterConfig = BarycenterConfig()) -> Fr
 
     change = math.inf
     iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         nxt = _exp(mu, _weighted_log_sum(mu, mus, w))
         change = float(np.linalg.norm(nxt - mu))
         mu = nxt
-        if change < cfg.tol:
+        if change < TOL:
             return FrechetMeanResult(mean=mu, iterations=iterations,
                                      final_change=change, converged=True)
     return FrechetMeanResult(mean=mu, iterations=iterations,
                              final_change=change, converged=False)
 
 
-def barycenter(components, weights, cfg: BarycenterConfig = BarycenterConfig()) -> BarycenterResult:
+def barycenter(components, weights) -> BarycenterResult:
     """Weighted barycenter of vMF laws under the WL distance.
 
     The direction and concentration subproblems are independent, so the
@@ -142,7 +135,7 @@ def barycenter(components, weights, cfg: BarycenterConfig = BarycenterConfig()) 
         raise ValueError("all components must share the same dimension")
     mus = np.stack([c.mu for c in comps])
     kappas = [c.kappa for c in comps]
-    res = frechet_mean(mus, weights, cfg)
+    res = frechet_mean(mus, weights)
     params = VmfParams(mu=res.mean, kappa=optimal_kappa(kappas, weights))
     return BarycenterResult(params=params, iterations=res.iterations,
                             final_change=res.final_change, converged=res.converged)

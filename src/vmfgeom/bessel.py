@@ -6,6 +6,7 @@ concentration, where a naive I_nu overflows or underflows float64.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -123,18 +124,18 @@ def log_ive(nu: float, x) -> np.ndarray:
 
 
 def log_bessel_i(nu: float, x: float) -> float:
-    """log I_nu(x) for nu >= 0 and one finite x > 0: log_ive(nu, x) + x."""
+    """log I_nu(x) for one finite nu >= 0 and one finite x > 0: log_ive(nu, x) + x."""
     if not (x > 0.0) or not math.isfinite(x):
         raise ValueError(f"log_bessel_i requires finite x > 0, got {x}")
-    if nu < 0.0:
-        raise ValueError(f"log_bessel_i requires nu >= 0, got {nu}")
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"log_bessel_i: nu must be finite and >= 0, got {nu}")
     return float(log_ive(nu, np.array([x]))[0]) + x
 
 
 def log_bessel_i_ratio(nu: float, x: float) -> float:
-    """I_{nu+1}(x) / I_nu(x) for nu >= 0 and one finite x > 0."""
-    if nu < 0.0:
-        raise ValueError(f"bessel ratio requires nu >= 0, got {nu}")
+    """I_{nu+1}(x) / I_nu(x) for one finite nu >= 0 and one finite x > 0."""
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"bessel ratio: nu must be finite and >= 0, got {nu}")
     return float(_log_ive_and_ratio(nu, np.reshape(x, -1), True)[1][0])
 
 
@@ -142,7 +143,7 @@ def mean_resultant_ratio(d: int, kappa):
     """A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa), the mean resultant
     length of a vMF law with concentration kappa in dimension d, elementwise
     over an array of concentrations (a float gives a float)."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    if not isinstance(d, numbers.Integral) or d < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
     out = _log_ive_and_ratio(d / 2.0 - 1.0, np.reshape(kappa, -1), True)[1].reshape(np.shape(kappa))
     return out if out.ndim else float(out)

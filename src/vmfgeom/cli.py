@@ -14,7 +14,7 @@ import sys
 import warnings
 
 from . import formats
-from .barycenter import BarycenterConfig, barycenter
+from .barycenter import barycenter
 from .core import VmfMixture, sample_mixture
 from .experiments import ExperimentConfig, run_experiment
 from .fit_eval import FitConfig, fit_em, mds_embed
@@ -30,25 +30,28 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_mixture(path) -> VmfMixture:
+def _load(read, path, **kwargs):
+    """read(path, **kwargs), with an input error naming the file."""
     try:
-        return formats.read_mixture(path)
+        return read(path, **kwargs)
     except (ValueError, OSError) as err:
         raise CliError(2, f"{path}: {err}") from err
 
 
+def _read_law(path):
+    return formats.single_component(formats.read_mixture(path))
+
+
 def _cmd_dist(args) -> None:
-    a = formats.single_component(_load_mixture(args.a))
-    b = formats.single_component(_load_mixture(args.b))
+    a, b = _load(_read_law, args.a), _load(_read_law, args.b)
     value = wl_distance(a, b) if args.metric == "wl" else l2_distance(a, b)
     print(_FMT % value)
 
 
 def _cmd_barycenter(args) -> None:
-    m = _load_mixture(args.mixture)
-    cfg = BarycenterConfig(max_iters=args.max_iters, tol=args.tol)
+    m = _load(formats.read_mixture, args.mixture)
     try:
-        result = barycenter(m.components, m.weights, cfg)
+        result = barycenter(m.components, m.weights)
     except (AntipodalMeansError, ValueError) as err:
         raise CliError(2, f"barycenter undefined for this input: {err}") from err
     out = VmfMixture(components=(result.params,), weights=[1.0])
@@ -60,11 +63,12 @@ def _cmd_barycenter(args) -> None:
                        "converged": result.converged}, fh, indent=2)
             fh.write("\n")
     if not result.converged:
-        print("warning: barycenter did not converge within max-iters", file=sys.stderr)
+        print(f"warning: barycenter did not converge in {result.iterations} iterations",
+              file=sys.stderr)
 
 
 def _cmd_reduce(args) -> None:
-    m = _load_mixture(args.mixture)
+    m = _load(formats.read_mixture, args.mixture)
     if args.k >= m.k:
         raise CliError(2, f"--k must be below the component count ({m.k})")
     try:
@@ -80,17 +84,14 @@ def _cmd_reduce(args) -> None:
 
 
 def _cmd_fit(args) -> None:
-    try:
-        data = formats.read_samples(args.samples, header=args.header)
-    except (ValueError, OSError) as err:
-        raise CliError(2, f"{args.samples}: {err}") from err
+    data = _load(formats.read_samples, args.samples, header=args.header)
     result = fit_em(data, FitConfig(k=args.k, restarts=args.restarts, seed=args.seed))
     formats.write_mixture(args.output, result.mixture)
     formats.write_fit_metadata(args.meta, result)
 
 
 def _cmd_sample(args) -> None:
-    m = _load_mixture(args.mixture)
+    m = _load(formats.read_mixture, args.mixture)
     if args.n < 1:
         raise CliError(2, "--n must be >= 1")
     s = sample_mixture(m, args.n, seed=args.seed)
@@ -98,8 +99,7 @@ def _cmd_sample(args) -> None:
 
 
 def _cmd_interpolate(args) -> None:
-    a = formats.single_component(_load_mixture(args.a))
-    b = formats.single_component(_load_mixture(args.b))
+    a, b = _load(_read_law, args.a), _load(_read_law, args.b)
     if args.steps < 1:
         raise CliError(2, "--steps must be >= 1")
     try:  # a pair with no geodesic, or no unique one, is refused before any output
@@ -114,10 +114,7 @@ def _cmd_interpolate(args) -> None:
 
 
 def _cmd_embed(args) -> None:
-    try:
-        dm = formats.read_distance_matrix(args.matrix)
-    except (ValueError, OSError) as err:
-        raise CliError(2, f"{args.matrix}: {err}") from err
+    dm = _load(formats.read_distance_matrix, args.matrix)
     result = mds_embed(dm, dim=args.dim)
     formats.write_coordinates(args.output, result.coords)
     if result.padded:
@@ -155,8 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mixture")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--meta", help="optional diagnostics JSON")
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_barycenter)
 
     p = sub.add_parser("reduce", help="reduce a mixture to --k components")

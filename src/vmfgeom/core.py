@@ -6,6 +6,7 @@ laws (kappa = 0 uniform, kappa = inf point mass) are unrepresentable here.
 """
 
 import math
+import numbers
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -143,8 +144,8 @@ def log_normalizing_constant(d: int, kappa: float) -> float:
     """log C_d(kappa) = (d/2-1) log kappa - (d/2) log 2pi - log I_{d/2-1}(kappa)
     for one finite kappa > 0, as log_peak_density(d, kappa) - kappa: finite
     for every such kappa, and bit for bit the array path's value."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    if not isinstance(d, numbers.Integral) or d < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
     kappa = float(kappa)
     if not math.isfinite(kappa) or kappa <= 0.0:
         raise ValueError(f"kappa must be finite and > 0, got {kappa}")
@@ -167,8 +168,8 @@ def log_peak_density(d: int, kappa) -> np.ndarray:
 
 def _log_peak(d: int, kappa: np.ndarray, log_i: np.ndarray) -> np.ndarray:
     """log_peak_density(d, kappa) given log_i = log_ive(d/2 - 1, kappa)."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    if not isinstance(d, numbers.Integral) or d < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (d / 2.0 - 1.0) * np.log(kappa) - (d / 2.0) * _LOG_2PI - log_i
     out[kappa == 0.0] = math.lgamma(d / 2.0) - math.log(2.0) - (d / 2.0) * math.log(math.pi)

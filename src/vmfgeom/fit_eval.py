@@ -16,8 +16,9 @@ from .rng import substream
 
 
 # An EM restart stops once an iteration moves its log-likelihood by at most
-# TOL relative to it, or after MAX_ITERS; concentrations stop at KAPPA_CAP.
-MAX_ITERS, TOL, KAPPA_CAP = 500, 1e-8, 1e5
+# TOL relative to it, or after MAX_ITERS; concentrations stop at KAPPA_CAP,
+# and kappa_mle's at MLE_KAPPA_CAP.
+MAX_ITERS, TOL, KAPPA_CAP, MLE_KAPPA_CAP = 500, 1e-8, 1e5, 1e12
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,9 @@ class MdsResult:
         return self.n_positive < self.coords.shape[1]
 
 
-def kappa_mle(r_bar: float, d: int, kappa_cap: float = 1e12) -> float:
+def kappa_mle(r_bar: float, d: int) -> float:
     """Concentration solving A_d(kappa) = r_bar for the observed mean
-    resultant length.
+    resultant length, at most MLE_KAPPA_CAP.
 
     Starts from the rational approximation r(d - r^2)/(1 - r^2) (Banerjee et
     al. 2005) and refines it with the guarded Halley steps of _kappa_newton.
@@ -64,7 +65,7 @@ def kappa_mle(r_bar: float, d: int, kappa_cap: float = 1e12) -> float:
     r_bar = float(r_bar)
     if not 0.0 < r_bar < 1.0:
         raise ValueError(f"r_bar must lie in (0, 1), got {r_bar}")
-    return float(_kappa_newton(np.array([r_bar]), d, kappa_cap)[0][0])
+    return float(_kappa_newton(np.array([r_bar]), d, MLE_KAPPA_CAP)[0][0])
 
 
 def _kappa_newton(r_bar: np.ndarray, d: int, kappa_cap: float, kappa=None, a=None, log_c=None):
@@ -300,11 +301,6 @@ def _em_lockstep(X: np.ndarray, jobs: list) -> list:
             except StopIteration as stop:
                 out[i] = stop.value
     return out
-
-
-def _em_restarts(X: np.ndarray, cfg: FitConfig, restarts: range) -> list:
-    """The restarts of one config advanced together, alone in their block."""
-    return _em_lockstep(X, [(cfg, restarts)])[0]
 
 
 def _em_blocks(cfgs, width: int):

@@ -93,12 +93,12 @@ def read_samples(path, header: bool = False) -> SampleSet:
     """Read a sample CSV; a trailing label column is detected by checking
     whether the rows are unit-norm without or with their last column. Both
     fit only where that column is all zeros (`sample` of one law), so the
-    labelled reading goes first."""
+    labelled reading goes first. Labels are integers within int64's range."""
     raw = _read_csv(path, skiprows=1 if header else 0)
     # The labelled points stay a view of the parsed array, rows d + 1 apart.
-    readings = [(raw, None)]
-    if raw.shape[1] >= 3 and np.all(raw[:, -1] == np.round(raw[:, -1])):
-        readings.insert(0, (raw[:, :-1], raw[:, -1].astype(np.int64)))
+    readings, last = [(raw, None)], raw[:, -1]
+    if raw.shape[1] >= 3 and np.all((last == np.round(last)) & (np.abs(last) < 2.0 ** 63)):
+        readings.insert(0, (raw[:, :-1], last.astype(np.int64)))
     for points, labels in readings:
         norms = np.sqrt(np.einsum("ij,ij->i", points, points))  # no n x d temporary
         if np.all(np.abs(norms - 1.0) <= 1e-6):

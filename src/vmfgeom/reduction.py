@@ -22,6 +22,9 @@ from .core import VmfMixture, VmfParams
 from .geometry import AntipodalMeansError, DistanceMatrix, _wl_matrix, pairwise_matrix
 from .rng import substream
 
+# PAM stops after MAX_SWAPS swaps even while a swap still improves its cost.
+MAX_SWAPS = 200
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -163,7 +166,7 @@ def _argbest(values: np.ndarray, priority: np.ndarray) -> int:
     return int(ties[np.argmin(priority[ties])])
 
 
-def kmedoids(dm: DistanceMatrix, target_k: int, seed: int = 0, max_iters: int = 200) -> Partition:
+def kmedoids(dm: DistanceMatrix, target_k: int, seed: int = 0) -> Partition:
     """Partition around medoids from a distance matrix (PAM build + swap).
 
     BUILD greedily seeds medoids by largest cost decrease; SWAP repeatedly
@@ -194,7 +197,7 @@ def kmedoids(dm: DistanceMatrix, target_k: int, seed: int = 0, max_iters: int = 
         nearest = np.minimum(nearest, d[:, c])
 
     current = float(nearest.sum())
-    for _ in range(max_iters):
+    for _ in range(MAX_SWAPS):
         threshold = current - n * np.finfo(float).eps * current
         best_swap = None
         for pos in range(len(medoids)):

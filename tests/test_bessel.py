@@ -219,8 +219,15 @@ class TestRatio:
         # (-1, 1e-310). log_bessel_i refuses nu < 0 the same way.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="nu >= 0"):
+            with pytest.raises(ValueError, match="nu must be finite and >= 0"):
                 log_bessel_i_ratio(nu, x)
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_order_refused(self, nu):
+        # NaN and inf passed the nu < 0 guards, and each call returned NaN.
+        for entry in (log_bessel_i, log_bessel_i_ratio):
+            with pytest.raises(ValueError, match="nu must be finite and >= 0"):
+                entry(nu, 1.0)
 
 
 class TestRangeGrid:

@@ -1,10 +1,14 @@
 """Command-line surface: subcommands, exit codes, byte-stable outputs."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -16,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import vmfgeom
 from vmfgeom import VmfMixture, VmfParams, fit_eval, l2_distance
-from vmfgeom.cli import main
+from vmfgeom.cli import build_parser, main
 from vmfgeom.core import MAX_SAMPLE_ENTRIES
 from vmfgeom.formats import read_mixture, read_samples, write_mixture
 from vmfgeom.geometry import MAX_PAIRWISE_LAWS
@@ -34,7 +38,7 @@ def run_cli(*args):
 _UNDER_1GB = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from vmfgeom.cli import main
+from vmfgeom.cli import build_parser, main
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -109,6 +113,19 @@ class TestDist:
         write_mixture(multi, m)
         assert main(["dist", str(multi), a]) == 2
 
+    @pytest.mark.parametrize("command", ["dist", "interpolate"])
+    def test_multi_component_error_names_the_file(self, tmp_path, laws, capsys, command):
+        # It read "error: expected a single-component mixture, got 3 components".
+        multi, out = tmp_path / "multi.json", tmp_path / "out"
+        write_mixture(multi, VmfMixture(components=tuple(VmfParams(mu=m, kappa=1.0)
+                                                         for m in np.eye(3)), weights=[0.2] * 2 + [0.6]))
+        extra = ["--steps", "2", "-o", str(out)] if command == "interpolate" else []
+        for pair in ([laws[0], str(multi)], [str(multi), laws[0]]):
+            assert main([command, *pair, *extra]) == 2
+            assert capsys.readouterr() == ("", f"error: {multi}: expected a single-component "
+                                               "mixture, got 3 components\n")
+        assert not out.exists()
+
     def test_dimension_mismatch_exit_2(self, tmp_path, laws):
         a, _ = laws
         other = write_single(tmp_path / "c.json", [1.0, 0.0], 1.0)
@@ -148,17 +165,30 @@ class TestBarycenter:
         doc = json.loads(meta.read_text())
         assert doc["converged"] is True
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+    def test_non_convergence_warns_with_iterations(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("vmfgeom.barycenter"), "MAX_ITERS", 1)
+        src = tmp_path / "m.json"
+        write_mixture(src, VmfMixture(components=tuple(VmfParams(mu=m, kappa=1.0) for m in np.eye(3)),
+                                      weights=[0.2, 0.3, 0.5]))
+        meta = tmp_path / "meta.json"
+        assert main(["barycenter", str(src), "-o", str(tmp_path / "b.json"),
+                     "--meta", str(meta)]) == 0
+        assert capsys.readouterr().err == "warning: barycenter did not converge in 1 iterations\n"
+        assert json.loads(meta.read_text())["converged"] is False
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9", "1e-9"])
     def test_bad_tol_exit_2(self, tmp_path, capsys, tol):
-        # Refused with one error line before any iteration: a NaN tolerance
-        # ran all 1,000 and exited 0, an infinite one stopped after the first.
+        # The Frechet mean's tolerance is the constant barycenter.TOL: --tol,
+        # even at that value, is refused at parse time with nothing written.
         src = tmp_path / "m.json"
         write_mixture(src, VmfMixture(components=(VmfParams(mu=[1, 0, 0], kappa=1.0),
                                                   VmfParams(mu=[0, 1, 0], kappa=4.0)),
                                       weights=[0.5, 0.5]))
         out = tmp_path / "b.json"
-        assert main(["barycenter", str(src), "-o", str(out), f"--tol={tol}"]) == 2
-        assert capsys.readouterr().err == "error: tol must be finite and > 0\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["barycenter", str(src), "-o", str(out), f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
         assert not out.exists()
 
     def test_antipodal_exit_2(self, tmp_path):
@@ -411,6 +441,20 @@ class TestStderrLines:
         assert [str(w.message) for w in caught] == ["after main"]
 
 
+class TestReadmeExamples:
+    def test_cli_examples_parse(self):
+        # Each vmfgeom line of README's bash blocks, its comment dropped and
+        # its optional [...] parts taken, is a command line the parser accepts.
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        lines = [line.split("#")[0].replace("[", "").replace("]", "")
+                 for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+                 for line in block.splitlines() if line.startswith("vmfgeom ")]
+        parser = build_parser()
+        commands = [parser.parse_args(shlex.split(line)[1:]).command for line in lines]
+        assert sorted(set(commands)) == ["barycenter", "dist", "embed", "experiment", "fit",
+                                         "interpolate", "reduce", "sample"]
+
+
 class TestExperimentCommand:
     def test_unknown_scenario_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -524,6 +568,7 @@ class TestMalformedCsvFuzz:
     @example(data=b"1,0\n0,1,0\n")
     @example(data=b"1e400,0\n0,1\n")
     @example(data=b"\xff\xfe1,0\n")
+    @example(data=b"0,0,9.223372036854776e+18")
     def test_fit_exit_codes(self, data):
         code = self.exit_code(data, "fit", "--k", "1", "--restarts", "1", "--meta", os.devnull)
         assert code in (0, 2, 3)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import ive
 
-from vmfgeom import (SampleSet, VmfMixture, VmfParams, log_density,
-                     log_normalizing_constant, sample, sample_mixture)
+from vmfgeom import (SampleSet, VmfMixture, VmfParams, kappa_mle, log_density,
+                     log_normalizing_constant, mean_resultant_ratio, sample, sample_mixture)
+from vmfgeom.core import log_peak_density
 
 mp.mp.dps = 50
 
@@ -102,6 +103,23 @@ class TestLogNormalizingConstant:
         for kappa in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 log_normalizing_constant(3, kappa)
+
+    @pytest.mark.parametrize("d", [2.5, 3.0, math.nan, math.inf, np.float64(4.0)])
+    def test_non_integer_dimension_refused(self, d):
+        # 2.5 gave log C = -2.414, A_d = 0.368 and kappa_mle(0.5, 2.5) = 1.476.
+        for call in (lambda: log_normalizing_constant(d, 1.0),
+                     lambda: log_peak_density(d, np.array([1.0])),
+                     lambda: mean_resultant_ratio(d, 1.0)):
+            with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+                call()
+        with pytest.raises(ValueError):  # at d = NaN, on the NaN start before the dimension
+            kappa_mle(0.5, d)
+
+    @pytest.mark.parametrize("d", [3, np.int64(3), np.intc(3), np.eye(3).shape[1]])
+    def test_python_and_numpy_integer_dimensions_accepted(self, d):
+        assert log_normalizing_constant(d, 1.0) == log_normalizing_constant(3, 1.0)
+        assert mean_resultant_ratio(d, 1.0) == mean_resultant_ratio(3, 1.0)
+        assert kappa_mle(0.5, d) == kappa_mle(0.5, 3)
 
 
 class TestLogDensity:

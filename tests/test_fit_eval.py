@@ -19,7 +19,7 @@ from vmfgeom import fit_eval
 from vmfgeom.experiments import SIM2_FIT_RANGE, SIM2_N, _derived_seed, sim2_truth
 from vmfgeom.bessel import _TINY
 from vmfgeom.core import log_peak_density
-from vmfgeom.fit_eval import (_EM_BLOCK, _em_restarts, _kappa_newton, _seed_directions,
+from vmfgeom.fit_eval import (_EM_BLOCK, _em_lockstep, _kappa_newton, _seed_directions,
                               fit_em_many)
 from vmfgeom.rng import substream
 
@@ -116,7 +116,7 @@ def em_reference(X, cfg, rng):
 
 
 def estep_component_major(X, mus, kappas, weights):
-    """One restart's E-step as _em_restarts forms it: k x n log-densities,
+    """One restart's E-step as _em_group forms it: k x n log-densities,
     one exp, its column sums, and the quotients by them flushed below tiny.
     Returns (log-likelihood, effective counts, resultants, worst-explained
     point)."""
@@ -219,7 +219,8 @@ def assert_restarts_match_oracle(X, cfg, blocks=None):
     equals the restart run alone; returns the oracle's results."""
     wants = [em_once_reference(X, cfg, substream(cfg.seed, "em-restart", r))
              for r in range(cfg.restarts)]
-    got = [res for block in blocks or [range(cfg.restarts)] for res in _em_restarts(X, cfg, block)]
+    got = [res for block in blocks or [range(cfg.restarts)]
+           for res in _em_lockstep(X, [(cfg, block)])[0]]
     for a, b in zip(got, wants, strict=True):
         assert_same_fit(a, b)
     return wants
@@ -259,7 +260,7 @@ def astuple_fit(fit):
 
 
 class TestArrayEm:
-    def test_newton_matches_scalar_loop(self):
+    def test_newton_matches_scalar_loop(self, monkeypatch):
         # Bit for bit: each element takes the scalar loop's steps, stop and cap,
         # from Banerjee's start and from warm starts with or without A_d there.
         # Targets up to 1e12, past ive's range (about 1.09e9).
@@ -270,7 +271,8 @@ class TestArrayEm:
                 kappa, a, _ = _kappa_newton(r, d, cap)
                 assert np.array_equal(kappa, want[:, 0])
                 assert np.array_equal(a, want[:, 1], equal_nan=True)
-                assert [kappa_mle(float(v), d, cap) for v in r] == want[:, 0].tolist()
+                monkeypatch.setattr(fit_eval, "MLE_KAPPA_CAP", cap)
+                assert [kappa_mle(float(v), d) for v in r] == want[:, 0].tolist()
                 start = np.roll(kappa, 7)  # other elements' roots as warm starts
                 warm = np.array([kappa_mle_reference(float(v), d, cap, float(s))
                                  for v, s in zip(r, start)])
@@ -291,7 +293,7 @@ class TestArrayEm:
         subnormals = 0
         for k in (2, 4, 6):
             cfg = FitConfig(k=k, restarts=3, seed=seed)
-            for r, got in enumerate(_em_restarts(X, cfg, range(cfg.restarts))):
+            for r, got in enumerate(_em_lockstep(X, [(cfg, range(cfg.restarts))])[0]):
                 want = em_reference(X, cfg, substream(seed, "em-restart", r))
                 assert got[1] == pytest.approx(want[0], rel=1e-12)
                 assert got[2:5] == want[1:4]
@@ -327,7 +329,7 @@ class TestRestartBlocks:
         # every restart keeps its course and the same one wins.
         data = sample_mixture(sim2_truth(), SIM2_N, seed=_derived_seed(0, "sim2-sample"))
         cfg = FitConfig(k=k, restarts=10, seed=_derived_seed(0, "sim2-fit", k))
-        got = _em_restarts(data.points, cfg, range(cfg.restarts))
+        got = _em_lockstep(data.points, [(cfg, range(cfg.restarts))])[0]
         wants = [em_once_reference(data.points, cfg, substream(cfg.seed, "em-restart", r),
                                    estep_point_major) for r in range(cfg.restarts)]
         for a, b in zip(got, wants, strict=True):
@@ -352,7 +354,7 @@ class TestRestartBlocks:
 
     def test_768d_subnormal_responsibilities_bit_identical(self):
         # The oracle forms every subnormal responsibility and exponential,
-        # _em_restarts none: the fits must still agree bit for bit.
+        # _em_group none: the fits must still agree bit for bit.
         X = five_clusters_768(600, seed=0)
         wants = assert_restarts_match_oracle(X, FitConfig(k=6, restarts=3, seed=0))
         assert all(subnormal_share(X, w[0]) >= 0.2 for w in wants)
@@ -389,7 +391,8 @@ class TestRestartBlocks:
 
         X = five_clusters_768(1000, seed=0)
         monkeypatch.setattr(fit_eval, "np", CountingNumpy())
-        iterations = max(r[2] for r in _em_restarts(X, FitConfig(k=20, restarts=3, seed=0), range(3)))
+        fits = _em_lockstep(X, [(FitConfig(k=20, restarts=3, seed=0), range(3))])[0]
+        iterations = max(r[2] for r in fits)
         assert len(outputs) == len(products) == iterations
         assert sum(count for _, count in outputs) == 0
         assert sum(products) == 0
@@ -555,8 +558,10 @@ class TestKappaMle:
             with pytest.raises(ValueError):
                 kappa_mle(r, 3)
 
-    def test_cap_applies(self):
-        assert kappa_mle(1.0 - 1e-13, 768, kappa_cap=1e5) == 1e5
+    def test_cap_applies(self, monkeypatch):
+        assert kappa_mle(1.0 - 1e-13, 768) == fit_eval.MLE_KAPPA_CAP == 1e12
+        monkeypatch.setattr(fit_eval, "MLE_KAPPA_CAP", 1e5)
+        assert kappa_mle(1.0 - 1e-13, 768) == 1e5
 
     @pytest.mark.parametrize("d", [2, 3, 10, 100, 768])
     @pytest.mark.parametrize("cap", [1e5, 1e12])
@@ -615,7 +620,7 @@ class TestBesselCalls:
 
         monkeypatch.setattr(fit_eval, "_component_log_pdfs", watched)
         data = sample_mixture(sim2_truth(), 400, seed=3)
-        _em_restarts(data.points, FitConfig(k=4, restarts=3, seed=1), range(3))
+        _em_lockstep(data.points, [(FitConfig(k=4, restarts=3, seed=1), range(3))])
         assert len(per_call) > 10 and set(per_call) == {0}
         assert ive_calls
 

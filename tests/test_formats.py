@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,16 @@ class TestSampleCsv:
         path.write_text("0.5,0.5,0.5\n0.1,0.1,0.1\n")
         with pytest.raises(ValueError):
             read_samples(path)
+
+    @pytest.mark.parametrize("last", ["9.223372036854776e+18", "-1e300", "1e19"])
+    def test_integral_column_beyond_int64_is_not_a_label(self, tmp_path, last):
+        # Such a column was cast to int64 as labels, with an invalid-value warning.
+        path = tmp_path / "big.csv"
+        path.write_text(f"1,0,{last}\n0,1,{last}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not unit-norm"):
+                read_samples(path)
 
 
 class TestDistanceCsv:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from vmfgeom import (DistanceMatrix, FitConfig, Partition,
                      VmfMixture, VmfParams, fit_em, geodesic_distance,
                      greedy_reduce, hclust_single_linkage, kmedoids,
                      pairwise_matrix, partitional_reduce, sample_mixture)
+from vmfgeom import reduction
 from vmfgeom.experiments import _derived_seed, sim2_truth
 from vmfgeom.geometry import _wl_matrix
 from vmfgeom.reduction import ReductionTrace, TraceEvent, _argbest, _merge_group
@@ -471,12 +473,14 @@ class TestKmedoids:
             hits += abs(got - want) <= 1e-12
         assert hits >= 16
 
-    def test_swap_never_increases_cost(self):
+    def test_swap_never_increases_cost(self, monkeypatch):
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
             dm = random_distance_matrix(rng, 10)
-            build_only = partition_cost(dm, kmedoids(dm, 3, seed=seed, max_iters=0))
             full = partition_cost(dm, kmedoids(dm, 3, seed=seed))
+            with monkeypatch.context() as patch:
+                patch.setattr(reduction, "MAX_SWAPS", 0)
+                build_only = partition_cost(dm, kmedoids(dm, 3, seed=seed))
             assert full <= build_only + 1e-12
 
     @pytest.mark.slow
@@ -486,7 +490,9 @@ class TestKmedoids:
         dm = DistanceMatrix(entries=d)
         for k in range(1, dm.n + 1):
             for max_iters in (0, 1, 200):
-                got = kmedoids(dm, k, seed=seed, max_iters=max_iters).assignment
+                # A hypothesis test cannot take the function-scoped monkeypatch.
+                with mock.patch.object(reduction, "MAX_SWAPS", max_iters):
+                    got = kmedoids(dm, k, seed=seed).assignment
                 want = kmedoids_reference(dm, k, seed=seed, max_iters=max_iters)
                 assert got.tolist() == want.tolist()
 
