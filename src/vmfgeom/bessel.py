@@ -11,28 +11,23 @@ import numbers
 import numpy as np
 
 
-def _deferred(name: str):
-    """A stand-in for scipy.special's function `name` that imports
-    scipy.special (about 0.2 s, and no WL distance, geodesic or barycenter
-    needs it) at its first call. That call binds scipy's function in place
-    of the stand-in in this module, so calls from here cost nothing extra
-    afterwards; a module that imported the stand-in keeps calling through it."""
-    func = None
-
-    def load(*args, **kwargs):
-        nonlocal func
-        if func is None:
-            import scipy.special
-            func = getattr(scipy.special, name)
-            if globals()[name] is load:
-                globals()[name] = func
-        return func(*args, **kwargs)
-
-    return load
+def _special():
+    """scipy.special, vmfgeom's only scipy module, imported at the first Bessel
+    evaluation: it takes about 0.2 s, and no WL distance, geodesic or barycenter needs it."""
+    import scipy.special
+    return scipy.special
 
 
-# The only scipy import in vmfgeom; core and fit_eval take these from here.
-gammaln, ive, i0e, i1e, logsumexp = map(_deferred, ("gammaln", "ive", "i0e", "i1e", "logsumexp"))
+def _check_dimension(d) -> None:
+    """Refuse a dimension d that is not an integer >= 2 (Python's or numpy's)."""
+    if not isinstance(d, numbers.Integral) or d < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+
+
+def logsumexp(a, axis=None):
+    """scipy's logsumexp(a, axis), for fit_eval."""
+    return _special().logsumexp(a, axis=axis)
+
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _TINY = np.finfo(np.float64).tiny
@@ -45,9 +40,10 @@ def _ive(nu: float, x):
     its i0e and i1e instead, about four times faster and no less accurate,
     set to NaN exactly where ive is NaN (|x| > _IVE_MAX, and +-inf), so every
     branch of _log_ive_and_ratio keeps its domain."""
+    special = _special()
     if nu == 0.0 or nu == 1.0:
-        return np.where(np.abs(x) <= _IVE_MAX, (i1e if nu else i0e)(x), np.nan)
-    return ive(nu, x)
+        return np.where(np.abs(x) <= _IVE_MAX, (special.i1e if nu else special.i0e)(x), np.nan)
+    return special.ive(nu, x)
 
 
 def _series(nu: float, x):
@@ -107,7 +103,7 @@ def _log_ive_and_ratio(nu: float, x, ratio: bool):
     under = (den < _TINY) & (x > 0.0)
     if (series := under if num is None else under | (num < _TINY)).any():
         xs, (s, e) = x[series], _series(nu, x[series])
-        log_i = nu * (np.log(xs) - math.log(2.0)) - gammaln(nu + 1.0) \
+        log_i = nu * (np.log(xs) - math.log(2.0)) - _special().gammaln(nu + 1.0) \
             + (np.log(s) + e * (_SCALE * math.log(2.0))) - xs
         out[series] = np.where(under[series], log_i, out[series])
         if num is not None:
@@ -143,7 +139,6 @@ def mean_resultant_ratio(d: int, kappa):
     """A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa), the mean resultant
     length of a vMF law with concentration kappa in dimension d, elementwise
     over an array of concentrations (a float gives a float)."""
-    if not isinstance(d, numbers.Integral) or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+    _check_dimension(d)
     out = _log_ive_and_ratio(d / 2.0 - 1.0, np.reshape(kappa, -1), True)[1].reshape(np.shape(kappa))
     return out if out.ndim else float(out)

@@ -8,6 +8,7 @@ metadata with exit 0.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -38,6 +39,16 @@ def _load(read, path, **kwargs):
         raise CliError(2, f"{path}: {err}") from err
 
 
+@contextlib.contextmanager
+def _removed_on_error(path):
+    """Removes path, a command's first output, if writing its second fails."""
+    try:
+        yield
+    except BaseException:
+        os.remove(path)
+        raise
+
+
 def _read_law(path):
     return formats.single_component(formats.read_mixture(path))
 
@@ -57,7 +68,7 @@ def _cmd_barycenter(args) -> None:
     out = VmfMixture(components=(result.params,), weights=[1.0])
     formats.write_mixture(args.output, out)
     if args.meta:
-        with open(args.meta, "w", encoding="utf-8") as fh:
+        with _removed_on_error(args.output), open(args.meta, "w", encoding="utf-8") as fh:
             json.dump({"iterations": result.iterations,
                        "final_change": result.final_change,
                        "converged": result.converged}, fh, indent=2)
@@ -80,14 +91,16 @@ def _cmd_reduce(args) -> None:
         raise CliError(3, f"reduction aborted: {err}") from err
     formats.write_mixture(args.output, reduced)
     if args.trace:
-        formats.write_trace(args.trace, trace)
+        with _removed_on_error(args.output):
+            formats.write_trace(args.trace, trace)
 
 
 def _cmd_fit(args) -> None:
     data = _load(formats.read_samples, args.samples, header=args.header)
     result = fit_em(data, FitConfig(k=args.k, restarts=args.restarts, seed=args.seed))
     formats.write_mixture(args.output, result.mixture)
-    formats.write_fit_metadata(args.meta, result)
+    with _removed_on_error(args.output):
+        formats.write_fit_metadata(args.meta, result)
 
 
 def _cmd_sample(args) -> None:

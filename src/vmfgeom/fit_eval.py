@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _TINY, _log_ive_and_ratio, logsumexp
+from .bessel import _TINY, _check_dimension, _log_ive_and_ratio, logsumexp
 from .core import SampleSet, VmfMixture, VmfParams, _log_peak, log_peak_density
 from .rng import substream
 
@@ -41,7 +41,6 @@ class FitResult:
     iterations: int
     converged: bool
     reseeds: int
-    history: tuple
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,7 @@ def kappa_mle(r_bar: float, d: int) -> float:
     r_bar = float(r_bar)
     if not 0.0 < r_bar < 1.0:
         raise ValueError(f"r_bar must lie in (0, 1), got {r_bar}")
+    _check_dimension(d)
     return float(_kappa_newton(np.array([r_bar]), d, MLE_KAPPA_CAP)[0][0])
 
 
@@ -208,8 +208,8 @@ def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
     """EM restarts of one config advanced together, as a generator: at each
     M-step it yields the (r_bar, kappa, A_d, log C_d) of its fed components
     and takes back their solved (kappa, A_d, log C_d). It returns a
-    (mixture, log-likelihood, iterations, converged, reseeds, history) tuple
-    per restart, in order.
+    (mixture, log-likelihood, iterations, converged, reseeds) tuple per
+    restart, in order.
 
     The restarts still iterating stack along the first axis of every array
     and leave when they converge. The E-step arrays are (restart, component,
@@ -227,17 +227,14 @@ def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
         _em_start(X, cfg.k, substream(cfg.seed, "em-restart", r)) for r in restarts)))
     live = np.arange(len(restarts))  # block positions of the restarts still iterating
     prev_ll, reseeds = np.full(live.size, -np.inf), np.zeros(live.size, dtype=np.int64)
-    history, out = [[] for _ in live], [None] * live.size
-    iterations = 0
+    out, iterations = [None] * live.size, 0
 
     def leave(done, converged):
         for p, m, c, lc, w in zip(live[done], mus[done], kappas[done], log_cs[done], weights[done]):
             mixture = VmfMixture(components=tuple(map(VmfParams, m, c)), weights=w)
-            # Scored as returned: one M-step past the last history entry at MAX_ITERS.
+            # Scored as returned: at MAX_ITERS one M-step past the last E-step's log-likelihood.
             ll = float(logsumexp(_component_log_pdfs(X, m, c, mixture.weights, lc), axis=0).sum())
-            if not converged:
-                history[p].append(ll)
-            out[p] = (mixture, ll, iterations, converged, int(reseeds[p]), tuple(history[p]))
+            out[p] = (mixture, ll, iterations, converged, int(reseeds[p]))
 
     for iterations in range(1, MAX_ITERS + 1):
         logp = _component_log_pdfs(X, mus, kappas, weights, log_cs)
@@ -247,8 +244,6 @@ def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
         resp = np.exp(logp, out=logp)  # e, divided in place below
         total = resp.sum(axis=1)
         ll = (top + np.log(total)).sum(axis=1)
-        for p, v in zip(live, ll.tolist()):
-            history[p].append(v)
         done = np.isfinite(prev_ll) & (np.abs(ll - prev_ll) <= TOL * np.abs(ll))
         if leaving := done.any():
             leave(done, True)
@@ -346,9 +341,8 @@ def fit_em_many(data: SampleSet, cfgs) -> list:
                 if best[i] is None or result[1] > best[i][1]:
                     best[i] = result
     return [FitResult(mixture=mixture, log_likelihood=ll, bic=bic(ll, cfg.k, data.d, data.n),
-                      iterations=iterations, converged=converged, reseeds=reseeds,
-                      history=history)
-            for cfg, (mixture, ll, iterations, converged, reseeds, history) in zip(cfgs, best)]
+                      iterations=iterations, converged=converged, reseeds=reseeds)
+            for cfg, (mixture, ll, iterations, converged, reseeds) in zip(cfgs, best)]
 
 
 def fit_em(data: SampleSet, cfg: FitConfig) -> FitResult:

@@ -372,6 +372,26 @@ class TestInterpolate:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestUnwritableSecondOutput:
+    @pytest.mark.parametrize("command", ["reduce", "fit", "barycenter"])
+    def test_first_output_removed(self, tmp_path, capsys, command):
+        # The second output's directory does not exist: the command exits 2
+        # and leaves no -o file either, although it wrote that one first.
+        mix = tmp_path / "mix.json"
+        write_mixture(mix, VmfMixture(components=(VmfParams(mu=[1, 0, 0], kappa=1.0),
+                                                  VmfParams(mu=[0, 1, 0], kappa=4.0)),
+                                      weights=[0.5, 0.5]))
+        samples = tmp_path / "x.csv"
+        np.savetxt(samples, np.repeat(np.eye(3), 4, axis=0), delimiter=",")
+        out, missing = tmp_path / "out.json", str(tmp_path / "missing" / "second")
+        argv = {"reduce": ["reduce", str(mix), "--k", "1", "--trace", missing],
+                "fit": ["fit", str(samples), "--k", "2", "--restarts", "1", "--meta", missing],
+                "barycenter": ["barycenter", str(mix), "--meta", missing]}[command]
+        assert main([*argv, "-o", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestEmbed:
     def test_embed_matrix(self, tmp_path):
         d = np.ones((3, 3)) - np.eye(3)

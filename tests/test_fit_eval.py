@@ -148,7 +148,7 @@ def estep_point_major(X, mus, kappas, weights):
 def em_once_reference(X, cfg, rng, estep=estep_component_major):
     """One EM restart on its own, with the given E-step: the loop fit_em ran
     before restarts were advanced together. Returns (mixture,
-    log-likelihood, iterations, converged, reseeds, history). Reads EM's
+    log-likelihood, iterations, converged, reseeds). Reads EM's
     constants when called, so a test that patches one patches it here too."""
     n, d = X.shape
     k = cfg.k
@@ -172,13 +172,11 @@ def em_once_reference(X, cfg, rng, estep=estep_component_major):
 
     weights /= weights.sum()
     prev_ll = -math.inf
-    history = []
     reseeds = 0
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
         ll, n_eff, resultants, worst = estep(X, mus, kappas, weights)
-        history.append(ll)
         if math.isfinite(prev_ll) and abs(ll - prev_ll) <= tol * abs(ll):
             converged = True
             break
@@ -200,14 +198,12 @@ def em_once_reference(X, cfg, rng, estep=estep_component_major):
         components=tuple(VmfParams(mu=mus[j], kappa=kappas[j]) for j in range(k)),
         weights=weights)
     ll = mixture_log_likelihood(mixture, X)
-    if not converged:
-        history.append(ll)
-    return mixture, ll, iterations, converged, reseeds, tuple(history)
+    return mixture, ll, iterations, converged, reseeds
 
 
 def assert_same_fit(got, want):
     """Bit-identical (mixture, log-likelihood, iterations, converged,
-    reseeds, history) tuples."""
+    reseeds) tuples."""
     for a, b in zip(got[0].components, want[0].components, strict=True):
         assert np.array_equal(a.mu, b.mu) and a.kappa == b.kappa
     assert np.array_equal(got[0].weights, want[0].weights)
@@ -255,8 +251,7 @@ def sim2_sweep(seed):
 
 
 def astuple_fit(fit):
-    return (fit.mixture, fit.log_likelihood, fit.iterations, fit.converged, fit.reseeds,
-            fit.history)
+    return fit.mixture, fit.log_likelihood, fit.iterations, fit.converged, fit.reseeds
 
 
 class TestArrayEm:
@@ -420,6 +415,21 @@ class TestRestartBlocks:
         # block's arrays, not one per restart.
         assert peaks[1] <= 1.1 * peaks[0]
         assert peaks[1] < 3 * 8 * _EM_BLOCK  # three block-sized float64 arrays
+
+    @pytest.mark.slow
+    def test_many_restarts_hold_no_per_iteration_state(self):
+        # 3,000 restarts at k = 2 on 40 points fill one block: its arrays are
+        # a few MB, and nothing grows with a restart's iterations (per-restart
+        # log-likelihood histories peaked at 19.5 MB here).
+        data = sample_mixture(sim2_truth(), 40, seed=0)
+        fit_em(data, FitConfig(k=2, restarts=3, seed=0))  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            fit_em(data, FitConfig(k=2, restarts=3000, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
 
 
 class TestFitEmMany:
@@ -691,12 +701,19 @@ class TestFitEm:
             wins += ok
         assert wins >= 4
 
-    def test_loglik_monotone_and_bic_consistent(self):
+    def test_loglik_monotone_and_bic_consistent(self, monkeypatch):
+        # EM never lowers the log-likelihood: each restart stopped after t
+        # iterations returns one no lower than after t - 1.
         truth = sim2_truth()
         data = sample_mixture(truth, 400, seed=2)
-        fit = fit_em(data, FitConfig(k=3, restarts=3, seed=5))
-        hist = np.array(fit.history)
-        assert np.all(np.diff(hist) >= -1e-10)
+        cfg = FitConfig(k=3, restarts=3, seed=5)
+        lls = []
+        for t in range(1, 41):
+            monkeypatch.setattr(fit_eval, "MAX_ITERS", t)
+            lls.append([res[1] for res in _em_lockstep(data.points, [(cfg, range(3))])[0]])
+        assert np.all(np.diff(lls, axis=0) >= -1e-10)
+        monkeypatch.undo()
+        fit = fit_em(data, cfg)
         assert fit.bic == bic(fit.log_likelihood, 3, 2, 400)
         recomputed = mixture_log_likelihood(fit.mixture, data.points)
         assert recomputed == pytest.approx(fit.log_likelihood, rel=1e-9)
@@ -709,7 +726,6 @@ class TestFitEm:
         fit = fit_em(data, FitConfig(k=k, restarts=10, seed=_derived_seed(0, "sim2-fit", k)))
         assert not fit.converged
         assert fit.log_likelihood == mixture_log_likelihood(fit.mixture, data.points)
-        assert fit.history[-1] == fit.log_likelihood
 
     @pytest.mark.parametrize("points,log_area", [
         ([[1.0, 0.0], [-1.0, 0.0]], math.log(2.0 * math.pi)),
@@ -725,7 +741,7 @@ class TestFitEm:
             warnings.simplefilter("error")
             fit = fit_em(data, FitConfig(k=1, restarts=2, seed=0))
         assert fit.converged and fit.reseeds == 0 and fit.iterations < 10
-        assert np.all(np.isfinite(fit.history))
+        assert math.isfinite(fit.log_likelihood)
         assert np.linalg.norm(fit.mixture.components[0].mu) == pytest.approx(1.0)
         assert fit.log_likelihood == pytest.approx(-len(points) * log_area)
 

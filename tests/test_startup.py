@@ -90,11 +90,11 @@ def test_bessel_commands_load_scipy(files, command):
 
 
 # Wraps fit_eval.logsumexp before its first call, as the benchmark's tracer
-# does, then evaluates a mixture density three times, and one on the circle.
+# does, then evaluates a mixture density three times.
 _WRAPPED = """
 import json
 import numpy as np
-from vmfgeom import VmfMixture, VmfParams, bessel, fit_eval
+from vmfgeom import VmfMixture, VmfParams, fit_eval
 held, calls = fit_eval.logsumexp, []
 def counting(*args, **kwargs):
     calls.append(1)
@@ -102,37 +102,28 @@ def counting(*args, **kwargs):
 fit_eval.logsumexp = counting
 m = VmfMixture(components=(VmfParams(mu=[1.0, 0.0, 0.0], kappa=2.0),), weights=[1.0])
 values = [fit_eval.mixture_log_pdf(m, np.eye(3)).tolist() for _ in range(3)]
-import scipy.special as sp
-names = ("gammaln", "ive", "i0e", "i1e", "logsumexp")
-counted, bound = len(calls), [getattr(bessel, n) is getattr(sp, n) for n in names]
-circle = VmfMixture(components=(VmfParams(mu=[1.0, 0.0], kappa=2.0),), weights=[1.0])
-fit_eval.mixture_log_pdf(circle, np.eye(2))
-print(json.dumps([counted, fit_eval.logsumexp is counting, bound,
-                  [getattr(bessel, n) is getattr(sp, n) for n in names], values]))
+print(json.dumps([len(calls), fit_eval.logsumexp is counting, values]))
 """
 
 
-def test_first_call_binds_scipy_in_bessel():
-    # A stand-in's first call puts scipy's function in its place in bessel,
-    # so bessel's own later calls skip it; gammaln, which only the series
-    # branch calls and kappa = 2 does not reach, stays the stand-in, and so
-    # do i0e and i1e until an order 0 or 1 (here d = 2) needs one. A wrapper
-    # that holds the stand-in stays bound and sees every call.
+def test_wrapper_before_first_call_sees_every_call():
+    # Loading scipy at the first call rebinds nothing, so a wrapper put in
+    # place beforehand stays bound, sees all three calls and changes no value.
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     run = subprocess.run([sys.executable, "-c", _WRAPPED], capture_output=True, text=True,
                          env=env, check=True)
-    calls, kept, bound, bound_after_circle, values = json.loads(run.stdout)
-    assert (calls, kept, bound) == (3, True, [False, True, False, False, True])
-    assert bound_after_circle == [False, True, True, False, True]
+    calls, kept, values = json.loads(run.stdout)
+    assert (calls, kept) == (3, True)
     law = VmfMixture(components=(VmfParams(mu=[1.0, 0.0, 0.0], kappa=2.0),), weights=[1.0])
     assert values == [vmfgeom.mixture_log_pdf(law, np.eye(3)).tolist()] * 3
 
 
 def test_only_bessel_imports_scipy():
     # Nor does any other module call ive, i0e, i1e or gammaln, so log I_nu keeps one
-    # implementation, bessel.log_ive. And no module reads the environment:
-    # every setting is an argument or a module constant.
-    importers, callers, env_readers = set(), set(), set()
+    # implementation, bessel.log_ive. No module reads the environment: every
+    # setting is an argument or a module constant. And no module rebinds its
+    # own names through globals().
+    importers, callers, env_readers, rebinders = set(), set(), set(), set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
@@ -142,6 +133,8 @@ def test_only_bessel_imports_scipy():
             func = node.func if isinstance(node, ast.Call) else None
             if getattr(func, "id", getattr(func, "attr", None)) in ("ive", "i0e", "i1e", "gammaln"):
                 callers.add(path.name)
+            if getattr(func, "id", None) == "globals":
+                rebinders.add(path.name)
             os_names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
                         and node.module == "os" else
                         [node.attr] if isinstance(node, ast.Attribute)
@@ -151,6 +144,7 @@ def test_only_bessel_imports_scipy():
     assert importers == {"bessel.py"}
     assert callers == {"bessel.py"}
     assert env_readers == set()
+    assert rebinders == set()
 
 
 def test_traced_names_resolve():
