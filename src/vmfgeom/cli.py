@@ -101,6 +101,8 @@ def _cmd_fit(args) -> None:
     formats.write_mixture(args.output, result.mixture)
     with _removed_on_error(args.output):
         formats.write_fit_metadata(args.meta, result)
+    if not result.converged:
+        print(f"warning: EM did not converge in {result.iterations} iterations", file=sys.stderr)
 
 
 def _cmd_sample(args) -> None:

@@ -186,7 +186,7 @@ _LOG_TINY = math.log(_TINY)  # exp(x) < tiny exactly when x < _LOG_TINY
 
 
 def _em_start(X: np.ndarray, k: int, rng: np.random.Generator):
-    """One restart's initial (mus, kappas, A_d and log C_d at kappas,
+    """One restart's initial (mus, r_bars, kappas, A_d and log C_d at kappas,
     weights) from k-means++ seeds."""
     n, d = X.shape
     seeds = _seed_directions(X, k, rng)
@@ -201,13 +201,41 @@ def _em_start(X: np.ndarray, k: int, rng: np.random.Generator):
         mus[j] = resultant / norm if norm > 0 else seeds[j]
         r_bars[j] = min(max(norm / members.size, 1e-10), 1.0 - 1e-12) if norm > 0 else 0.5
         weights[j] = members.size / n
-    return (mus, *_kappa_newton(r_bars, d, KAPPA_CAP), weights / weights.sum())
+    return (mus, r_bars, *_kappa_newton(r_bars, d, KAPPA_CAP), weights / weights.sum())
+
+
+def _theta(weights, r_bars, mus):
+    """The vector SQUAREM extrapolates, a (weight, r_bar mu) row per
+    component: the M-step's own statistics."""
+    return np.concatenate([weights[..., None], r_bars[..., None] * mus], axis=-1)
+
+
+def _extrapolate(theta0, step, theta2, step_max):
+    """SQUAREM's SqS3 candidates (Varadhan & Roland 2008) from the cycles
+    theta0 -> theta1 -> theta2 of stacked restarts, step = theta1 - theta0:
+    with r = step and v = theta2 - theta0 - 2 r, the step length s = |r|/|v|
+    clipped to [1, step_max] (alpha = -s; step_max is a power of 4, so s equals
+    it exactly when clipped there), and the candidate
+    theta0 + 2 s r + s^2 v, written as theta2 + (s - 1)(2 r + (s + 1) v) so
+    that s = 1 gives theta2 exactly. Returns the candidates and s."""
+    v = theta2 - theta0
+    v -= 2.0 * step
+    r2, v2 = ((a * a).sum(axis=-1).sum(axis=-1) for a in (step, v))
+    s = step_max * step_max
+    np.divide(r2, v2, out=s, where=r2 < s * v2)
+    s = np.sqrt(np.maximum(s, 1.0))
+    v *= (s + 1.0)[:, None, None]  # in place, in the order of the formula: the same bits
+    v += 2.0 * step
+    v *= (s - 1.0)[:, None, None]
+    v += theta2
+    return v, s
 
 
 def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
     """EM restarts of one config advanced together, as a generator: at each
-    M-step it yields the (r_bar, kappa, A_d, log C_d) of its fed components
-    and takes back their solved (kappa, A_d, log C_d). It returns a
+    M-step it yields the (r_bar, kappa, A_d, log C_d) of the components to
+    solve, each as a list of arrays to concatenate, and takes back their
+    solved (kappa, A_d, log C_d). It returns a
     (mixture, log-likelihood, iterations, converged, reseeds) tuple per
     restart, in order.
 
@@ -221,20 +249,48 @@ def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
     -inf, under half an ulp of a column sum that holds exp(0) = 1, and a
     responsibility below tiny is zeroed, which moves each resultant
     coordinate by less than n * tiny.
+
+    Each restart runs SQUAREM cycles with one E-step per iteration; its
+    phase says where the next one is: 0 at a cycle's first iterate theta0,
+    1 at theta1 = M(theta0), 2 at the candidate _extrapolate forms from
+    theta0, theta1 and theta2 = M(theta1). Convergence is tested at phase 1
+    only, against theta0's log-likelihood. A candidate is formed when
+    neither M-step of the cycle starved a component and it lies in the
+    domain (every weight > 0 and 1e-10 <= |r_bar mu| <= 1 - 1e-12), and its
+    concentrations join theta2's solve from the same start, theta1's. It is
+    kept, as the next cycle's theta0, when its log-likelihood beats theta1's
+    by more than 1e-3 TOL relative, a margin far above rounding, so that a
+    candidate tying theta1 at the optimum is dropped under any summation
+    order; otherwise the restart goes on from theta2. step_max starts at 1;
+    a step of that length multiplies it by 4 when kept and divides it by 4
+    (not below 1) when dropped or outside the domain.
     """
     n = X.shape[0]
-    mus, kappas, ads, log_cs, weights = map(np.stack, zip(*(
+    mus, r_bars, kappas, ads, log_cs, weights = map(np.stack, zip(*(
         _em_start(X, cfg.k, substream(cfg.seed, "em-restart", r)) for r in restarts)))
     live = np.arange(len(restarts))  # block positions of the restarts still iterating
-    prev_ll, reseeds = np.full(live.size, -np.inf), np.zeros(live.size, dtype=np.int64)
+    ll_ref, reseeds = np.full(live.size, -np.inf), np.zeros(live.size, dtype=np.int64)
+    # phase 3 is phase 2 with a step of length step_max
+    phase, step_max = np.zeros(live.size, dtype=np.int64), np.ones(live.size)
+    theta0 = np.zeros(mus.shape[:2] + (mus.shape[2] + 1,))
+    step = np.zeros_like(theta0)
+    saved = [v.copy() for v in (mus, r_bars, kappas, ads, log_cs, weights)]  # theta2 behind a candidate
     out, iterations = [None] * live.size, 0
 
-    def leave(done, converged):
-        for p, m, c, lc, w in zip(live[done], mus[done], kappas[done], log_cs[done], weights[done]):
+    def leave(done, lls=None):
+        """A converged restart leaves with the E-step's log-likelihood of its
+        iterate (lls); one at MAX_ITERS, one M-step past its last E-step, is
+        scored as returned."""
+        for i, (p, m, c, lc, w) in enumerate(zip(live[done], mus[done], kappas[done], log_cs[done],
+                                                 weights[done])):
             mixture = VmfMixture(components=tuple(map(VmfParams, m, c)), weights=w)
-            # Scored as returned: at MAX_ITERS one M-step past the last E-step's log-likelihood.
-            ll = float(logsumexp(_component_log_pdfs(X, m, c, mixture.weights, lc), axis=0).sum())
-            out[p] = (mixture, ll, iterations, converged, int(reseeds[p]))
+            ll = float(logsumexp(_component_log_pdfs(X, m, c, mixture.weights, lc), axis=0).sum()
+                       if lls is None else lls[i])
+            out[p] = (mixture, ll, iterations, lls is not None, int(reseeds[p]))
+
+    def swap(rows, into, source):
+        for a, b in zip(into, source):
+            np.copyto(a, b, where=rows.reshape(rows.shape + (1,) * (a.ndim - 1)))
 
     for iterations in range(1, MAX_ITERS + 1):
         logp = _component_log_pdfs(X, mus, kappas, weights, log_cs)
@@ -244,52 +300,103 @@ def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
         resp = np.exp(logp, out=logp)  # e, divided in place below
         total = resp.sum(axis=1)
         ll = (top + np.log(total)).sum(axis=1)
-        done = np.isfinite(prev_ll) & (np.abs(ll - prev_ll) <= TOL * np.abs(ll))
+        trial, gain, tol = phase >= 2, ll - ll_ref, TOL * np.abs(ll)
+        kept = trial & (gain > 1e-3 * tol)
+        dropped = trial ^ kept
+        if (bound := phase == 3).any():
+            step_max[bound] = np.maximum(step_max[bound] * np.where(kept[bound], 4.0, 0.25), 1.0)
+        first, second = (phase == 0) | kept, phase == 1
+        done = second & (np.abs(gain) <= tol)
         if leaving := done.any():
-            leave(done, True)
-        prev_ll = ll
+            leave(done, ll[done])
+        ll_ref = ll
         resp /= total[:, None]
         resp[resp < _TINY] = 0.0
 
         n_eff = resp.sum(axis=2)
         resultants = resp @ X
-        norms = np.linalg.norm(resultants, axis=2)
+        norms = np.sqrt((resultants * resultants).sum(axis=2))  # np.linalg.norm's arithmetic
+        theta = _theta(weights, r_bars, mus)
+        np.copyto(theta0, theta, where=first[:, None, None])
+        np.subtract(theta, theta0, out=step, where=second[:, None, None])
+        del theta  # large at high d, and not needed past here
         fed = n_eff >= 1.0
-        moved = fed & (norms > 0.0)  # a zero resultant leaves its direction, as in _em_start
-        mus[moved] = resultants[moved] / norms[moved, None]
-        weights[fed] = n_eff[fed] / n
-        if not fed.all():
+        starved = ~fed
+        if dropped.any():  # a dropped candidate makes no M-step
+            fed[dropped] = starved[dropped] = False
+        # Masked ufuncs rather than fancy indexing: these arrays are small, and the
+        # per-call cost is what an iteration pays. A zero resultant leaves its
+        # direction, as in _em_start.
+        np.divide(resultants, norms[..., None], out=mus, where=(fed & (norms > 0.0))[..., None])
+        np.divide(n_eff, n, out=weights, where=fed)
+        np.divide(norms, n_eff, out=r_bars, where=fed)
+        np.clip(r_bars, 1e-10, 1.0 - 1e-12, out=r_bars, where=fed)
+        r_bar = r_bars[fed]
+        if starved.any():
             # Starved components restart at their restart's worst-explained point.
             worst = np.argmin(resp.max(axis=1), axis=1)
-            mus[~fed] = X[np.broadcast_to(worst[:, None], fed.shape)[~fed]]
-            weights[~fed] = 1.0 / n
-            reseeds[live] += np.count_nonzero(~fed, axis=1)
+            mus[starved] = X[np.broadcast_to(worst[:, None], fed.shape)[starved]]
+            weights[starved] = 1.0 / n
+            reseeds[live] += np.count_nonzero(starved, axis=1)
         weights /= weights.sum(axis=1, keepdims=True)
         del logp, resp  # free the k x n arrays before the solve waits on the other groups
-        # Each solve starts from the last iterate with A_d and log C_d there (NaN at the cap).
-        r_bar = np.clip(norms[fed] / n_eff[fed], 1e-10, 1.0 - 1e-12)
-        kappas[fed], ads[fed], log_cs[fed] = yield r_bar, kappas[fed], ads[fed], log_cs[fed]
+        state = mus, r_bars, kappas, ads, log_cs, weights
+        if dropped.any():
+            swap(dropped, state, saved)
+        clean = ~starved.any(axis=1)  # a reseed starts a new cycle
+        phase = np.where(first & clean, 1, 0)
+        # Each solve starts from the last iterate with A_d and log C_d there (NaN at the
+        # cap); a candidate's from theta1's, as theta2's does.
+        ask, cands = [[r_bar], [kappas[fed]], [ads[fed]], [log_cs[fed]]], None
+        if (form := second & clean & ~done).any():
+            # Every row is extrapolated, from finite if stale values where not formed.
+            cand, s = _extrapolate(theta0, step, _theta(weights, r_bars, mus), step_max)
+            sq = (cand[..., 1:] * cand[..., 1:]).sum(axis=-1)
+            inside = form & ((cand[..., 0] > 0.0) & (sq >= 1e-20) & (sq <= (1.0 - 1e-12) ** 2)).all(axis=1)
+            at_max = s == step_max
+            if (shrink := form & at_max & ~inside).any():
+                step_max[shrink] = np.maximum(step_max[shrink] / 4.0, 1.0)
+            phase = np.where(inside, 2 + at_max, phase)
+            cands = inside, cand, np.sqrt(sq)
+            for piece, v in zip(ask, (cands[2], kappas, ads, log_cs)):
+                piece.append(v[inside].ravel())
+        solved = yield ask
+        m = r_bar.size
+        kappas[fed], ads[fed], log_cs[fed] = (v[:m] for v in solved)
+        if cands:
+            inside, cand, norm = cands
+            swap(inside, saved, state)
+            np.divide(cand[..., 1:], norm[..., None], out=mus, where=inside[:, None, None])
+            np.copyto(r_bars, norm, where=inside[:, None])
+            np.divide(cand[..., 0], cand[..., 0].sum(axis=1, keepdims=True), out=weights,
+                      where=inside[:, None])
+            kappas[inside], ads[inside], log_cs[inside] = (v[m:].reshape(-1, norm.shape[1]) for v in solved)
+            del cands, cand  # not held through the next E-step
         if leaving:  # the converged restarts leave only now: their M-step above is discarded
-            live, prev_ll, mus, kappas, ads, log_cs, weights = (
-                v[~done] for v in (live, prev_ll, mus, kappas, ads, log_cs, weights))
+            keep = ~done
+            live, ll_ref, phase, step_max, theta0, step, mus, r_bars, kappas, ads, log_cs, weights = (
+                v[keep] for v in (live, ll_ref, phase, step_max, theta0, step, *state))
+            saved = [v[keep] for v in saved]
             if live.size == 0:
                 break
-    leave(np.ones(live.size, dtype=bool), False)
+    swap(phase >= 2, (mus, r_bars, kappas, ads, log_cs, weights), saved)  # at the cap, never an unchecked candidate
+    leave(np.ones(live.size, dtype=bool))
     return out
 
 
 def _em_lockstep(X: np.ndarray, jobs: list) -> list:
     """The _em_group of each (config, restarts) job advanced in lockstep, a
     list of its results per job. Each iteration makes one _kappa_newton call
-    on every group's fed components, concatenated, and hands each group its
-    slice: the solve is elementwise, so each value is the one a solve of the
-    group alone returns."""
+    on the pieces every group yields (its fed components, then its
+    candidates'), concatenated, and hands each group its slice: the solve is
+    elementwise, so each value is the one a solve of the group alone
+    returns."""
     groups = [_em_group(X, cfg, restarts) for cfg, restarts in jobs]
     asks, out = [next(g) for g in groups], [None] * len(groups)
     while running := [i for i, o in enumerate(out) if o is None]:
-        r_bar, kappa, a, log_c = (np.concatenate(v) for v in zip(*(asks[i] for i in running)))
+        r_bar, kappa, a, log_c = (np.concatenate([p for i in running for p in asks[i][f]]) for f in range(4))
         solved = _kappa_newton(r_bar, X.shape[1], KAPPA_CAP, kappa, a, log_c)
-        ends = np.cumsum([asks[i][0].size for i in running]).tolist()
+        ends = np.cumsum([sum(p.size for p in asks[i][0]) for i in running]).tolist()
         for i, lo, hi in zip(running, [0] + ends, ends):
             try:
                 asks[i] = groups[i].send([v[lo:hi] for v in solved])

@@ -163,6 +163,7 @@ def write_fit_metadata(path, result: FitResult) -> None:
         "bic": result.bic,
         "iterations": result.iterations,
         "converged": result.converged,
+        "reseeds": result.reseeds,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

@@ -11,6 +11,7 @@ is documented in the README so externally produced files can be reproduced.
 """
 
 import hashlib
+import numbers
 
 import numpy as np
 
@@ -24,6 +25,10 @@ def _tag_word(tag) -> int:
 
 
 def substream(seed: int, *tags) -> np.random.Generator:
-    """Derive an independent PCG64 generator from (seed, tags)."""
+    """Derive an independent PCG64 generator from (seed, tags). The seed is
+    a Python or numpy integer >= 0; anything else (1.5, "3", True) is
+    refused, not truncated to another seed's stream."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     entropy = [int(seed)] + [_tag_word(t) for t in tags]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

@@ -19,9 +19,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import vmfgeom
-from vmfgeom import VmfMixture, VmfParams, fit_eval, l2_distance
+from vmfgeom import VmfMixture, VmfParams, fit_eval, l2_distance, sample_mixture
 from vmfgeom.cli import build_parser, main
 from vmfgeom.core import MAX_SAMPLE_ENTRIES
+from vmfgeom.experiments import sim2_truth
 from vmfgeom.formats import read_mixture, read_samples, write_mixture
 from vmfgeom.geometry import MAX_PAIRWISE_LAWS
 
@@ -274,7 +275,7 @@ class TestSampleAndFit:
         got = read_mixture(out)
         assert got.k == 2
         doc = json.loads(meta.read_text())
-        assert set(doc) == {"loglik", "bic", "iterations", "converged"}
+        assert set(doc) == {"loglik", "bic", "iterations", "converged", "reseeds"}
         assert doc["bic"] == pytest.approx(
             -2 * doc["loglik"] + 5 * math.log(400), rel=1e-12)
 
@@ -336,6 +337,33 @@ class TestSampleAndFit:
                      "--meta", str(meta)]) == 0
         assert capsys.readouterr().err == ""
         assert json.loads(meta.read_text())["converged"] is True
+
+    def test_fit_meta_reports_reseeds(self, tmp_path, capsys):
+        # Eight components on 60 points of four modes: the one restart
+        # reseeds 8 times and converges, and the count FitResult carries is
+        # written (it was not, before).
+        csv = tmp_path / "s.csv"
+        np.savetxt(csv, sample_mixture(sim2_truth(), 60, seed=0).points, delimiter=",")
+        meta = tmp_path / "m.json"
+        assert main(["fit", str(csv), "--k", "8", "--restarts", "1", "-o", str(tmp_path / "f.json"),
+                     "--meta", str(meta)]) == 0
+        want = fit_eval.fit_em(read_samples(csv), fit_eval.FitConfig(k=8, restarts=1, seed=0))
+        doc = json.loads(meta.read_text())
+        assert doc["reseeds"] == want.reseeds == 8 and doc["converged"] is True
+        assert capsys.readouterr().err == ""
+
+    def test_fit_non_convergence_warns_with_iterations(self, tmp_path, capsys, monkeypatch):
+        # As barycenter does: a fit stopped at MAX_ITERS says so on stderr,
+        # one line, and still exits 0 with converged false in its metadata.
+        monkeypatch.setattr(fit_eval, "MAX_ITERS", 3)
+        csv = tmp_path / "s.csv"
+        np.savetxt(csv, sample_mixture(sim2_truth(), 200, seed=1).points, delimiter=",")
+        meta = tmp_path / "m.json"
+        assert main(["fit", str(csv), "--k", "6", "--restarts", "2", "-o", str(tmp_path / "f.json"),
+                     "--meta", str(meta)]) == 0
+        assert capsys.readouterr().err == "warning: EM did not converge in 3 iterations\n"
+        doc = json.loads(meta.read_text())
+        assert doc["converged"] is False and doc["iterations"] == 3
 
     def test_fit_k_too_large_exit_2(self, tmp_path):
         csv = tmp_path / "tiny.csv"

@@ -10,6 +10,8 @@ from scipy.special import ive
 from vmfgeom import (SampleSet, VmfMixture, VmfParams, kappa_mle, log_density,
                      log_normalizing_constant, mean_resultant_ratio, sample, sample_mixture)
 from vmfgeom.core import log_peak_density
+from vmfgeom.fit_eval import FitConfig, fit_em
+from vmfgeom.rng import substream
 
 mp.mp.dps = 50
 
@@ -250,3 +252,24 @@ class TestSampleSet:
         assert not s.points.flags.writeable
         with pytest.raises(ValueError):
             s.points[0, 0] = 0.5
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [1.5, 1.9, 1.0, "3", True, False, -1, None, np.float64(2.0)])
+    def test_non_integer_or_negative_seed_refused(self, seed):
+        # int(seed) turned 1.5 and 1.9 into seed 1's stream, "3" into 3 and
+        # True into 1.
+        law = VmfParams(mu=[1.0, 0.0], kappa=2.0)
+        mix = VmfMixture(components=(law, VmfParams(mu=[0.0, 1.0], kappa=3.0)), weights=[0.5, 0.5])
+        data = sample(law, 20, seed=0)
+        for call in (lambda: substream(seed, "a"), lambda: sample(law, 5, seed=seed),
+                     lambda: sample_mixture(mix, 5, seed=seed),
+                     lambda: fit_em(data, FitConfig(k=2, restarts=1, seed=seed))):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                call()
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint8(7), np.intc(7)])
+    def test_numpy_integer_seeds_accepted(self, seed):
+        assert np.array_equal(substream(seed, "a").random(4), substream(7, "a").random(4))
+        law = VmfParams(mu=[1.0, 0.0], kappa=2.0)
+        assert np.array_equal(sample(law, 5, seed=seed).points, sample(law, 5, seed=7).points)

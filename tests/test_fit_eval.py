@@ -62,6 +62,80 @@ def kappa_mle_reference(r_bar, d, kappa_cap, kappa=None, a=math.nan):
         kappa, a = nxt, math.nan
 
 
+def squarem_reference(state, em_step, solve):
+    """The accelerated EM cycle of one restart, written a step at a time.
+
+    state is (mus, r_bars, kappas, A_d, weights); em_step(state) makes one
+    E-step and returns (log-likelihood, mstep), where mstep() returns the
+    M-step's (state, starved count); solve(r_bars, kappas, A_d) solves the
+    concentrations from the given start. Each cycle maps theta0 to theta1 and
+    theta2, with theta = (weight, r_bar mu) per component, and tries the
+    SqS3 candidate theta0 + 2 s r + s^2 v (r = theta1 - theta0,
+    v = theta2 - theta0 - 2 r, s = |r|/|v| clipped to [1, step_max]) when
+    neither M-step starved a component and the candidate is in the domain.
+    The candidate is kept, as the next theta0, if its log-likelihood beats
+    theta1's by more than 1e-3 TOL relative; else the restart goes on from
+    theta2. step_max, from 1,
+    is multiplied by 4 when a step of that length is kept and divided by 4
+    (not below 1) when one is dropped or leaves the domain. Reads EM's
+    constants when called. Returns (state, iterations, converged, reseeds,
+    the last E-step's log-likelihood)."""
+    def theta(state):
+        mus, r_bars, _, _, weights = state
+        return np.concatenate([weights[:, None], r_bars[:, None] * mus], axis=1)
+
+    phase, step_max, reseeds, ref = "theta0", 1.0, 0, None
+    converged = False
+    for iterations in range(1, fit_eval.MAX_ITERS + 1):
+        ll, mstep = em_step(state)
+        if phase == "candidate":
+            kept = ll - ref > 1e-3 * fit_eval.TOL * abs(ll)
+            if at_max:
+                step_max = step_max * 4.0 if kept else max(step_max / 4.0, 1.0)
+            phase = "theta0"
+            if not kept:
+                state = theta2
+                continue
+        if phase == "theta1" and abs(ll - ref) <= fit_eval.TOL * abs(ll):
+            converged = True
+            break
+        ref = ll
+        before = state
+        state, starved = mstep()
+        reseeds += starved
+        if phase == "theta0":
+            theta0 = theta(before)
+            phase = "theta1" if not starved else "theta0"
+            continue
+        phase = "theta0"
+        if starved:
+            continue
+        r = theta(before) - theta0
+        t2 = theta(state)
+        v = t2 - theta0 - 2.0 * r
+        r2, v2 = (r * r).sum(axis=1).sum(), (v * v).sum(axis=1).sum()
+        s = step_max * step_max
+        if r2 < s * v2:
+            s = r2 / v2
+        s = math.sqrt(max(s, 1.0))
+        at_max = s == step_max
+        cand = t2 + (s - 1.0) * (2.0 * r + (s + 1.0) * v)
+        sq = (cand[:, 1:] * cand[:, 1:]).sum(axis=1)
+        if not ((cand[:, 0] > 0.0) & (sq >= 1e-20) & (sq <= (1.0 - 1e-12) ** 2)).all():
+            if at_max:
+                step_max = max(step_max / 4.0, 1.0)
+            continue
+        norm = np.sqrt(sq)
+        theta2 = state
+        # The candidate's concentrations start from theta1's, as theta2's did.
+        state = (cand[:, 1:] / norm[:, None], norm, *solve(norm, before[2], before[3]),
+                 cand[:, 0] / cand[:, 0].sum())
+        phase = "candidate"
+    if phase == "candidate":
+        state = theta2
+    return state, iterations, converged, reseeds, ll
+
+
 def em_reference(X, cfg, rng):
     """EM one component at a time: a resultant per column of unflushed
     responsibilities, scalar log C_d and kappa, scipy's logsumexp.
@@ -70,7 +144,8 @@ def em_reference(X, cfg, rng):
     k = cfg.k
     seeds = _seed_directions(X, k, rng)
     assign = np.argmax(X @ seeds.T, axis=1)
-    mus, kappas, ads, weights = np.empty((k, d)), np.empty(k), np.empty(k), np.empty(k)
+    mus, r_bars, kappas, ads, weights = (np.empty((k, d)), np.empty(k), np.empty(k), np.empty(k),
+                                         np.empty(k))
     for j in range(k):
         members = np.nonzero(assign == j)[0]
         if members.size == 0:
@@ -78,38 +153,49 @@ def em_reference(X, cfg, rng):
         resultant = X[members].sum(axis=0)
         norm = float(np.linalg.norm(resultant))
         mus[j] = resultant / norm if norm > 0 else seeds[j]
-        r_bar = min(max(norm / members.size, 1e-10), 1.0 - 1e-12) if norm > 0 else 0.5
-        kappas[j], ads[j] = kappa_mle_reference(r_bar, d, fit_eval.KAPPA_CAP)
+        r_bars[j] = min(max(norm / members.size, 1e-10), 1.0 - 1e-12) if norm > 0 else 0.5
+        kappas[j], ads[j] = kappa_mle_reference(r_bars[j], d, fit_eval.KAPPA_CAP)
         weights[j] = members.size / n
     weights /= weights.sum()
-    prev_ll, reseeds, subnormals, converged = -math.inf, 0, 0, False
-    for iterations in range(1, fit_eval.MAX_ITERS + 1):
+    subnormals = 0
+
+    def solve(r_bars, kappas, ads):
+        return np.array([kappa_mle_reference(r, d, fit_eval.KAPPA_CAP, kap, a)
+                         for r, kap, a in zip(r_bars, kappas, ads)]).T
+
+    def em_step(state):
+        mus, r_bars, kappas, ads, weights = state
         log_c = np.array([log_normalizing_constant(d, kap) for kap in kappas])
         logp = np.log(weights) + log_c + kappas * (X @ mus.T)
         lse = logsumexp(logp, axis=1)
-        ll = float(lse.sum())
-        if math.isfinite(prev_ll) and abs(ll - prev_ll) <= fit_eval.TOL * abs(ll):
-            converged = True
-            break
-        prev_ll = ll
-        resp = np.exp(logp - lse[:, None])
-        subnormals += int(np.count_nonzero((resp > 0.0) & (resp < np.finfo(float).tiny)))
-        n_eff = resp.sum(axis=0)
-        for j in range(k):
-            if n_eff[j] < 1.0:
-                mus[j] = X[int(np.argmin(resp.max(axis=1)))]
-                weights[j] = 1.0 / n
-                reseeds += 1
-            else:
-                resultant = resp[:, j] @ X
-                norm = float(np.linalg.norm(resultant))
-                mus[j] = resultant / norm
-                # Warm start: the last iterate and A_d there.
-                kappas[j], ads[j] = kappa_mle_reference(
-                    min(max(norm / n_eff[j], 1e-10), 1.0 - 1e-12), d, fit_eval.KAPPA_CAP,
-                    kappas[j], ads[j])
-                weights[j] = n_eff[j] / n
-        weights /= weights.sum()
+
+        def mstep():
+            nonlocal subnormals
+            resp = np.exp(logp - lse[:, None])
+            subnormals += int(np.count_nonzero((resp > 0.0) & (resp < np.finfo(float).tiny)))
+            n_eff = resp.sum(axis=0)
+            new = [v.copy() for v in state]
+            starved = 0
+            for j in range(k):
+                if n_eff[j] < 1.0:
+                    new[0][j] = X[int(np.argmin(resp.max(axis=1)))]
+                    new[4][j] = 1.0 / n
+                    starved += 1
+                else:
+                    resultant = resp[:, j] @ X
+                    norm = float(np.linalg.norm(resultant))
+                    new[0][j] = resultant / norm
+                    new[1][j] = min(max(norm / n_eff[j], 1e-10), 1.0 - 1e-12)
+                    # Warm start: the last iterate and A_d there.
+                    new[2][j], new[3][j] = kappa_mle_reference(new[1][j], d, fit_eval.KAPPA_CAP,
+                                                               kappas[j], ads[j])
+                    new[4][j] = n_eff[j] / n
+            new[4] /= new[4].sum()
+            return tuple(new), starved
+        return float(lse.sum()), mstep
+
+    (mus, _, kappas, _, weights), iterations, converged, reseeds, _ = squarem_reference(
+        (mus, r_bars, kappas, ads, weights), em_step, solve)
     mixture = VmfMixture(components=tuple(VmfParams(mu=m, kappa=c) for m, c in zip(mus, kappas)),
                          weights=weights)
     return mixture_log_likelihood(mixture, X), iterations, converged, reseeds, subnormals
@@ -146,13 +232,14 @@ def estep_point_major(X, mus, kappas, weights):
 
 
 def em_once_reference(X, cfg, rng, estep=estep_component_major):
-    """One EM restart on its own, with the given E-step: the loop fit_em ran
-    before restarts were advanced together. Returns (mixture,
-    log-likelihood, iterations, converged, reseeds). Reads EM's
-    constants when called, so a test that patches one patches it here too."""
+    """One EM restart on its own, with the given E-step: the accelerated
+    cycle of squarem_reference with the array M-step and _kappa_newton.
+    Returns (mixture, log-likelihood, iterations, converged, reseeds). Reads
+    EM's constants when called, so a test that patches one patches it here
+    too."""
     n, d = X.shape
     k = cfg.k
-    max_iters, tol, kappa_cap = fit_eval.MAX_ITERS, fit_eval.TOL, fit_eval.KAPPA_CAP
+    kappa_cap = fit_eval.KAPPA_CAP
 
     seeds = _seed_directions(X, k, rng)
     assign = np.argmax(X @ seeds.T, axis=1)
@@ -169,35 +256,38 @@ def em_once_reference(X, cfg, rng, estep=estep_component_major):
         r_bars[j] = min(max(norm / members.size, 1e-10), 1.0 - 1e-12) if norm > 0 else 0.5
         weights[j] = members.size / n
     kappas, ads, _ = _kappa_newton(r_bars, d, kappa_cap)
-
     weights /= weights.sum()
-    prev_ll = -math.inf
-    reseeds = 0
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
+
+    def solve(r_bars, kappas, ads):
+        return _kappa_newton(r_bars, d, kappa_cap, kappas, ads)[:2]
+
+    def em_step(state):
+        mus, r_bars, kappas, ads, weights = (v.copy() for v in state)
         ll, n_eff, resultants, worst = estep(X, mus, kappas, weights)
-        if math.isfinite(prev_ll) and abs(ll - prev_ll) <= tol * abs(ll):
-            converged = True
-            break
-        prev_ll = ll
 
-        norms = np.linalg.norm(resultants, axis=1)
-        fed = n_eff >= 1.0
-        mus[fed] = resultants[fed] / norms[fed, None]
-        kappas[fed], ads[fed], _ = _kappa_newton(np.clip(norms[fed] / n_eff[fed], 1e-10, 1.0 - 1e-12),
-                                                 d, kappa_cap, kappas[fed], ads[fed])
-        weights[fed] = n_eff[fed] / n
-        if not fed.all():
-            mus[~fed] = X[worst]
-            weights[~fed] = 1.0 / n
-            reseeds += int(np.count_nonzero(~fed))
-        weights /= weights.sum()
+        def mstep():
+            norms = np.linalg.norm(resultants, axis=1)
+            fed = n_eff >= 1.0
+            mus[fed] = resultants[fed] / norms[fed, None]
+            r_bars[fed] = np.clip(norms[fed] / n_eff[fed], 1e-10, 1.0 - 1e-12)
+            kappas[fed], ads[fed] = solve(r_bars[fed], kappas[fed], ads[fed])
+            weights[fed] = n_eff[fed] / n
+            if not fed.all():
+                mus[~fed] = X[worst]
+                weights[~fed] = 1.0 / n
+            weights[:] /= weights.sum()
+            return (mus, r_bars, kappas, ads, weights), int(np.count_nonzero(~fed))
+        return ll, mstep
 
+    (mus, _, kappas, _, weights), iterations, converged, reseeds, ll = squarem_reference(
+        (mus, r_bars, kappas, ads, weights), em_step, solve)
     mixture = VmfMixture(
         components=tuple(VmfParams(mu=mus[j], kappa=kappas[j]) for j in range(k)),
         weights=weights)
-    ll = mixture_log_likelihood(mixture, X)
+    # A converged restart reports its E-step's value; one stopped at the cap
+    # is scored as returned.
+    if not converged:
+        ll = mixture_log_likelihood(mixture, X)
     return mixture, ll, iterations, converged, reseeds
 
 
@@ -290,7 +380,9 @@ class TestArrayEm:
             cfg = FitConfig(k=k, restarts=3, seed=seed)
             for r, got in enumerate(_em_lockstep(X, [(cfg, range(cfg.restarts))])[0]):
                 want = em_reference(X, cfg, substream(seed, "em-restart", r))
-                assert got[1] == pytest.approx(want[0], rel=1e-12)
+                # An extrapolated step scales the two arithmetics' rounding
+                # differences by up to s^2: 5.4e-12 at most here.
+                assert got[1] == pytest.approx(want[0], rel=1e-10)
                 assert got[2:5] == want[1:4]
                 subnormals += want[4]
         assert subnormals > 1000
@@ -303,14 +395,14 @@ class TestRestartBlocks:
     @pytest.mark.slow
     @pytest.mark.parametrize("k", [2, 7, 10])
     def test_sim2_seed0_restarts_bit_identical(self, k):
-        # sim2 seed 0: at K = 2 and 7 restarts stop both by convergence and at
-        # max_iters, at different iterations; at K = 10 one restart reseeds
-        # 428 times and the other nine never do.
+        # sim2 seed 0: the restarts converge at different iterations; at K = 10
+        # one restart reseeds 479 times and stops at max_iters, and the other
+        # nine converge without a reseed.
         data = sample_mixture(sim2_truth(), SIM2_N, seed=_derived_seed(0, "sim2-sample"))
         cfg = FitConfig(k=k, restarts=10, seed=_derived_seed(0, "sim2-fit", k))
         wants = assert_restarts_match_oracle(data.points, cfg)
         assert len({w[2] for w in wants}) >= 2
-        assert {w[3] for w in wants} == {True, False}
+        assert {w[3] for w in wants} == ({True, False} if k == 10 else {True})
         if k == 10:
             assert [w[4] > 0 for w in wants].count(True) == 1
         lls = [w[1] for w in wants]
@@ -320,7 +412,8 @@ class TestRestartBlocks:
     @pytest.mark.parametrize("k", [2, 7, 10])
     def test_sim2_seed0_matches_point_major_loop(self, k):
         # Against the loop before the component-major layout: the division in
-        # place of a second exp moves log-likelihoods by rounding only, and
+        # place of a second exp moves log-likelihoods by rounding only, which
+        # an extrapolated step scales by up to s^2 (6.9e-12 at most here), and
         # every restart keeps its course and the same one wins.
         data = sample_mixture(sim2_truth(), SIM2_N, seed=_derived_seed(0, "sim2-sample"))
         cfg = FitConfig(k=k, restarts=10, seed=_derived_seed(0, "sim2-fit", k))
@@ -329,13 +422,13 @@ class TestRestartBlocks:
                                    estep_point_major) for r in range(cfg.restarts)]
         for a, b in zip(got, wants, strict=True):
             assert a[2:5] == b[2:5]
-            assert a[1] == pytest.approx(b[1], rel=1e-12, abs=0.0)
+            assert a[1] == pytest.approx(b[1], rel=1e-10, abs=0.0)
         lls = [[res[1] for res in side] for side in (got, wants)]
         assert lls[0].index(max(lls[0])) == lls[1].index(max(lls[1]))
 
     def test_768d_restarts_converge_at_different_iterations(self):
         # Four modes 0.3 rad from a common axis in R^768, fitted with six
-        # components: the restarts converge after 17, 19 and 22 iterations, so
+        # components: the restarts converge after 18, 19 and 32 iterations, so
         # the block shrinks twice. Small matrices also take other BLAS kernels
         # than large ones, so only same-shape products give the same bits.
         centers = np.zeros((4, 768))
@@ -345,7 +438,7 @@ class TestRestartBlocks:
                            weights=np.full(4, 0.25))
         X = sample_mixture(truth, 300, seed=5).points
         wants = assert_restarts_match_oracle(X, FitConfig(k=6, restarts=3, seed=2))
-        assert [w[2:4] for w in wants] == [(17, True), (19, True), (22, True)]
+        assert [w[2:4] for w in wants] == [(18, True), (19, True), (32, True)]
 
     def test_768d_subnormal_responsibilities_bit_identical(self):
         # The oracle forms every subnormal responsibility and exponential,
@@ -353,7 +446,7 @@ class TestRestartBlocks:
         X = five_clusters_768(600, seed=0)
         wants = assert_restarts_match_oracle(X, FitConfig(k=6, restarts=3, seed=0))
         assert all(subnormal_share(X, w[0]) >= 0.2 for w in wants)
-        assert {w[2] for w in wants} == {4, 7} and any(w[4] for w in wants)
+        assert {w[2] for w in wants} == {4, 6, 8} and any(w[4] for w in wants)
 
     def test_log_tiny_is_the_exact_threshold(self):
         # Masking exponents below _LOG_TINY zeroes exactly the exponentials below tiny.
@@ -507,8 +600,9 @@ class TestFitEmMany:
     def test_sim2_sweep_pools_the_solves(self, ive_calls, monkeypatch):
         # sim2 seed 0: one _kappa_newton call per batched iteration (500, the
         # slowest restart's) plus one per restart start (90), where nine
-        # separate fits make 3,697. The solves hold the same concentrations
-        # and evaluate each as often: the ive elements are unchanged.
+        # separate fits make 2,515. The solves hold the same concentrations
+        # (extrapolated candidates' included) and evaluate each as often: the
+        # ive elements are unchanged, in 2,672 calls against 8,502.
         sizes = []
         real = fit_eval._kappa_newton
 
@@ -525,9 +619,9 @@ class TestFitEmMany:
         ive_calls.clear()
         fit_em_many(data, cfgs)
         pooled = len(sizes), sum(sizes), len(ive_calls), sum(size for _, size in ive_calls)
-        assert separate[0] == 3697 and pooled[0] == 500 + 90
+        assert separate[0] == 2515 and pooled[0] == 500 + 90
         assert pooled[1] == separate[1] and pooled[3] == separate[3]
-        assert pooled[2] < separate[2] / 4
+        assert pooled[2] < separate[2] / 3
 
 
 class TestKappaMle:
@@ -718,14 +812,31 @@ class TestFitEm:
         recomputed = mixture_log_likelihood(fit.mixture, data.points)
         assert recomputed == pytest.approx(fit.log_likelihood, rel=1e-9)
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed, want", [(0, 1469.7), (1, 1451.6), (2, 1461.7), (4, 1475.4)])
+    def test_sim2_k2_fits_converge(self, seed, want):
+        # Four equal modes on the circle make K = 2 a slow plateau. Plain EM
+        # stopped these winners at MAX_ITERS with BIC 1498.5, 1495.9, 1499.0
+        # and 1498.4; with MAX_ITERS 20,000 it converged in 908-1,248
+        # iterations to the BIC here. The accelerated cycle gets there within
+        # MAX_ITERS.
+        data, cfgs = sim2_sweep(seed)
+        fit = fit_em(data, cfgs[0])
+        assert cfgs[0].k == 2 and fit.converged
+        assert fit.bic == pytest.approx(want, abs=0.05)
+
     @pytest.mark.parametrize("k", [2, 7])
-    def test_loglik_is_that_of_the_returned_mixture(self, k):
-        # sim2 seed 0: the best K = 2 and K = 7 restarts stop at max_iters,
-        # one M-step past the last log-likelihood they evaluated in the loop.
+    def test_loglik_is_that_of_the_returned_mixture(self, k, monkeypatch):
+        # sim2 seed 0 with every restart stopped at max_iters (K = 2 restarts
+        # converge after 16 iterations or more): the fit is returned one
+        # M-step past the last log-likelihood evaluated in the loop, or as
+        # theta2 where a candidate was formed, at an odd and an even cap.
         data = sample_mixture(sim2_truth(), SIM2_N, seed=_derived_seed(0, "sim2-sample"))
-        fit = fit_em(data, FitConfig(k=k, restarts=10, seed=_derived_seed(0, "sim2-fit", k)))
-        assert not fit.converged
-        assert fit.log_likelihood == mixture_log_likelihood(fit.mixture, data.points)
+        for cap in (14, 15):
+            monkeypatch.setattr(fit_eval, "MAX_ITERS", cap)
+            fit = fit_em(data, FitConfig(k=k, restarts=10, seed=_derived_seed(0, "sim2-fit", k)))
+            assert not fit.converged and fit.iterations == cap
+            assert fit.log_likelihood == mixture_log_likelihood(fit.mixture, data.points)
 
     @pytest.mark.parametrize("points,log_area", [
         ([[1.0, 0.0], [-1.0, 0.0]], math.log(2.0 * math.pi)),
