@@ -6,6 +6,7 @@ high dimensions never leave the representable range.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,10 @@ class FitConfig:
 
     def __post_init__(self):
         for name in ("k", "restarts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -210,7 +213,17 @@ def _theta(weights, r_bars, mus):
     return np.concatenate([weights[..., None], r_bars[..., None] * mus], axis=-1)
 
 
-def _extrapolate(theta0, step, theta2, step_max):
+def _component_sums(a, cuts):
+    """Per row of a (restart, K) array, the sum over its config's k
+    components only, in the bits a (restarts, k) array of that config alone
+    gives: numpy sums pairwise from 8 terms, so padding moves the rounding."""
+    out = np.empty(a.shape[0])
+    for rows, k in cuts:
+        a[rows, :k].sum(axis=1, out=out[rows])
+    return out
+
+
+def _extrapolate(theta0, step, theta2, step_max, cuts):
     """SQUAREM's SqS3 candidates (Varadhan & Roland 2008) from the cycles
     theta0 -> theta1 -> theta2 of stacked restarts, step = theta1 - theta0:
     with r = step and v = theta2 - theta0 - 2 r, the step length s = |r|/|v|
@@ -220,7 +233,7 @@ def _extrapolate(theta0, step, theta2, step_max):
     that s = 1 gives theta2 exactly. Returns the candidates and s."""
     v = theta2 - theta0
     v -= 2.0 * step
-    r2, v2 = ((a * a).sum(axis=-1).sum(axis=-1) for a in (step, v))
+    r2, v2 = (_component_sums((a * a).sum(axis=-1), cuts) for a in (step, v))
     s = step_max * step_max
     np.divide(r2, v2, out=s, where=r2 < s * v2)
     s = np.sqrt(np.maximum(s, 1.0))
@@ -231,24 +244,39 @@ def _extrapolate(theta0, step, theta2, step_max):
     return v, s
 
 
-def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
-    """EM restarts of one config advanced together, as a generator: at each
-    M-step it yields the (r_bar, kappa, A_d, log C_d) of the components to
-    solve, each as a list of arrays to concatenate, and takes back their
-    solved (kappa, A_d, log C_d). It returns a
-    (mixture, log-likelihood, iterations, converged, reseeds) tuple per
-    restart, in order.
+def _m_step(n, n_eff, resultants, fed, mus, r_bars, weights):
+    """The M-step in place at the fed components, through masked ufuncs: on
+    small arrays fancy indexing costs more per call. A zero resultant
+    leaves its direction, as in _em_start."""
+    norms = np.sqrt((resultants * resultants).sum(axis=2))  # np.linalg.norm's arithmetic
+    np.divide(resultants, norms[..., None], out=mus, where=(fed & (norms > 0.0))[..., None])
+    np.divide(n_eff, n, out=weights, where=fed)
+    np.divide(norms, n_eff, out=r_bars, where=fed)
+    np.clip(r_bars, 1e-10, 1.0 - 1e-12, out=r_bars, where=fed)
 
-    The restarts still iterating stack along the first axis of every array
-    and leave when they converge. The E-step arrays are (restart, component,
-    point), so its sums and products run along rows of n points, each with
-    the shape and axis one restart alone would use: each result is
-    bit-identical to that run. One exp gives both the log-sum-exp and the
-    responsibilities, and no value is subnormal (below tiny, where exp and
-    resp @ X run several times slower): an exponent below log(tiny) becomes
-    -inf, under half an ulp of a column sum that holds exp(0) = 1, and a
-    responsibility below tiny is zeroed, which moves each resultant
-    coordinate by less than n * tiny.
+
+def _em_block(X: np.ndarray, jobs: list) -> list:
+    """The EM restarts of a block's (config, restarts) jobs advanced
+    together, a list of (mixture, log-likelihood, iterations, converged,
+    reseeds) tuples per job, one per restart, in order.
+
+    The restarts still iterating stack along the first axis of one set of
+    (restart, component, ...) arrays, padded to the block's largest k, and
+    leave when they converge. The E-step runs per job on its rows and k
+    columns, so its arrays are (restart, component, point), each freed
+    before the next job's are formed, and its sums and products run along
+    rows of n points, each with the shape and axis one restart alone would
+    use: each result is bit-identical to that run. One exp gives both the
+    log-sum-exp and the responsibilities, and no value is subnormal (below
+    tiny, where exp and resp @ X run several times slower): an exponent
+    below log(tiny) becomes -inf, under half an ulp of a column sum that
+    holds exp(0) = 1, and a responsibility below tiny is zeroed, which
+    moves each resultant coordinate by less than n * tiny. All else runs
+    once per iteration for the whole block: padded components are never
+    fed, starved or solved, sums over components run per job
+    (_component_sums), and one _kappa_newton call solves every
+    concentration, elementwise, so each value is the one a solve of the
+    restart alone returns.
 
     Each restart runs SQUAREM cycles with one E-step per iteration; its
     phase says where the next one is: 0 at a cycle's first iterate theta0,
@@ -265,17 +293,31 @@ def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
     a step of that length multiplies it by 4 when kept and divides it by 4
     (not below 1) when dropped or outside the domain.
     """
-    n = X.shape[0]
-    mus, r_bars, kappas, ads, log_cs, weights = map(np.stack, zip(*(
-        _em_start(X, cfg.k, substream(cfg.seed, "em-restart", r)) for r in restarts)))
-    live = np.arange(len(restarts))  # block positions of the restarts still iterating
+    n, d = X.shape
+    sizes = [len(restarts) for _, restarts in jobs]
+    job = np.repeat(np.arange(len(jobs)), sizes)  # each block position's job
+    ks = np.array([cfg.k for cfg, _ in jobs])[job]
+    real = np.arange(ks.max()) < ks[:, None]  # a component, not padding
+    state = [np.zeros(real.shape + s) for s in ((d,), (), (), (), (), ())]
+    starts = (_em_start(X, cfg.k, substream(cfg.seed, "em-restart", r)) for cfg, restarts in jobs
+              for r in restarts)
+    for p, start in enumerate(starts):
+        for a, v in zip(state, start):
+            a[p, :len(v)] = v
+    mus, r_bars, kappas, ads, log_cs, weights = state
+    live = np.arange(ks.size)  # block positions of the restarts still iterating
     ll_ref, reseeds = np.full(live.size, -np.inf), np.zeros(live.size, dtype=np.int64)
     # phase 3 is phase 2 with a step of length step_max
     phase, step_max = np.zeros(live.size, dtype=np.int64), np.ones(live.size)
-    theta0 = np.zeros(mus.shape[:2] + (mus.shape[2] + 1,))
+    theta0 = np.zeros(mus.shape[:2] + (d + 1,))
     step = np.zeros_like(theta0)
-    saved = [v.copy() for v in (mus, r_bars, kappas, ads, log_cs, weights)]  # theta2 behind a candidate
+    saved = [v.copy() for v in state]  # theta2 behind a candidate
     out, iterations = [None] * live.size, 0
+
+    def slices():
+        """(rows, k) of each job still iterating: its restarts stay adjacent."""
+        ends = np.cumsum(counts := np.bincount(job[live], minlength=len(jobs))).tolist()
+        return [(slice(e - c, e), cfg.k) for (cfg, _), c, e in zip(jobs, counts.tolist(), ends) if c]
 
     def leave(done, lls=None):
         """A converged restart leaves with the E-step's log-likelihood of its
@@ -283,6 +325,7 @@ def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
         scored as returned."""
         for i, (p, m, c, lc, w) in enumerate(zip(live[done], mus[done], kappas[done], log_cs[done],
                                                  weights[done])):
+            m, c, lc, w = (v[:ks[p]] for v in (m, c, lc, w))
             mixture = VmfMixture(components=tuple(map(VmfParams, m, c)), weights=w)
             ll = float(logsumexp(_component_log_pdfs(X, m, c, mixture.weights, lc), axis=0).sum()
                        if lls is None else lls[i])
@@ -292,14 +335,26 @@ def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
         for a, b in zip(into, source):
             np.copyto(a, b, where=rows.reshape(rows.shape + (1,) * (a.ndim - 1)))
 
+    cuts = slices()
     for iterations in range(1, MAX_ITERS + 1):
-        logp = _component_log_pdfs(X, mus, kappas, weights, log_cs)
-        top = logp.max(axis=1)
-        logp -= top[:, None]
-        logp[logp < _LOG_TINY] = -np.inf
-        resp = np.exp(logp, out=logp)  # e, divided in place below
-        total = resp.sum(axis=1)
-        ll = (top + np.log(total)).sum(axis=1)
+        ll, worst = np.empty(live.size), np.zeros(live.size, dtype=np.intp)
+        n_eff, resultants = np.zeros(real.shape), np.zeros(mus.shape)
+        for rows, k in cuts:
+            logp = _component_log_pdfs(X, mus[rows, :k], kappas[rows, :k], weights[rows, :k],
+                                       log_cs[rows, :k])
+            top = logp.max(axis=1)
+            logp -= top[:, None]
+            logp[logp < _LOG_TINY] = -np.inf
+            resp = np.exp(logp, out=logp)  # e, divided in place below
+            total = resp.sum(axis=1)
+            ll[rows] = (top + np.log(total)).sum(axis=1)
+            resp /= total[:, None]
+            resp[resp < _TINY] = 0.0
+            resp.sum(axis=2, out=n_eff[rows, :k])
+            resultants[rows, :k] = resp @ X
+            if (n_eff[rows, :k] < 1.0).any():  # starved components restart at the worst-explained point
+                worst[rows] = np.argmin(resp.max(axis=1), axis=1)
+            del logp, resp  # free the k x n arrays before the next job's are formed
         trial, gain, tol = phase >= 2, ll - ll_ref, TOL * np.abs(ll)
         kept = trial & (gain > 1e-3 * tol)
         dropped = trial ^ kept
@@ -310,129 +365,98 @@ def _em_group(X: np.ndarray, cfg: FitConfig, restarts: range):
         if leaving := done.any():
             leave(done, ll[done])
         ll_ref = ll
-        resp /= total[:, None]
-        resp[resp < _TINY] = 0.0
 
-        n_eff = resp.sum(axis=2)
-        resultants = resp @ X
-        norms = np.sqrt((resultants * resultants).sum(axis=2))  # np.linalg.norm's arithmetic
         theta = _theta(weights, r_bars, mus)
         np.copyto(theta0, theta, where=first[:, None, None])
         np.subtract(theta, theta0, out=step, where=second[:, None, None])
         del theta  # large at high d, and not needed past here
         fed = n_eff >= 1.0
-        starved = ~fed
+        starved = real & ~fed
         if dropped.any():  # a dropped candidate makes no M-step
             fed[dropped] = starved[dropped] = False
-        # Masked ufuncs rather than fancy indexing: these arrays are small, and the
-        # per-call cost is what an iteration pays. A zero resultant leaves its
-        # direction, as in _em_start.
-        np.divide(resultants, norms[..., None], out=mus, where=(fed & (norms > 0.0))[..., None])
-        np.divide(n_eff, n, out=weights, where=fed)
-        np.divide(norms, n_eff, out=r_bars, where=fed)
-        np.clip(r_bars, 1e-10, 1.0 - 1e-12, out=r_bars, where=fed)
-        r_bar = r_bars[fed]
+        _m_step(n, n_eff, resultants, fed, mus, r_bars, weights)
         if starved.any():
-            # Starved components restart at their restart's worst-explained point.
-            worst = np.argmin(resp.max(axis=1), axis=1)
             mus[starved] = X[np.broadcast_to(worst[:, None], fed.shape)[starved]]
             weights[starved] = 1.0 / n
             reseeds[live] += np.count_nonzero(starved, axis=1)
-        weights /= weights.sum(axis=1, keepdims=True)
-        del logp, resp  # free the k x n arrays before the solve waits on the other groups
-        state = mus, r_bars, kappas, ads, log_cs, weights
+        weights /= _component_sums(weights, cuts)[:, None]
         if dropped.any():
             swap(dropped, state, saved)
         clean = ~starved.any(axis=1)  # a reseed starts a new cycle
         phase = np.where(first & clean, 1, 0)
         # Each solve starts from the last iterate with A_d and log C_d there (NaN at the
         # cap); a candidate's from theta1's, as theta2's does.
-        ask, cands = [[r_bar], [kappas[fed]], [ads[fed]], [log_cs[fed]]], None
+        ask, into = [v[fed] for v in (r_bars, kappas, ads, log_cs)], None
         if (form := second & clean & ~done).any():
             # Every row is extrapolated, from finite if stale values where not formed.
-            cand, s = _extrapolate(theta0, step, _theta(weights, r_bars, mus), step_max)
+            cand, s = _extrapolate(theta0, step, _theta(weights, r_bars, mus), step_max, cuts)
             sq = (cand[..., 1:] * cand[..., 1:]).sum(axis=-1)
-            inside = form & ((cand[..., 0] > 0.0) & (sq >= 1e-20) & (sq <= (1.0 - 1e-12) ** 2)).all(axis=1)
+            domain = (cand[..., 0] > 0.0) & (sq >= 1e-20) & (sq <= (1.0 - 1e-12) ** 2)
+            inside = form & (domain | ~real).all(axis=1)
             at_max = s == step_max
             if (shrink := form & at_max & ~inside).any():
                 step_max[shrink] = np.maximum(step_max[shrink] / 4.0, 1.0)
             phase = np.where(inside, 2 + at_max, phase)
-            cands = inside, cand, np.sqrt(sq)
-            for piece, v in zip(ask, (cands[2], kappas, ads, log_cs)):
-                piece.append(v[inside].ravel())
-        solved = yield ask
-        m = r_bar.size
+            into, norm = inside[:, None] & real, np.sqrt(sq)
+            ask = [np.concatenate([a, v[into]]) for a, v in zip(ask, (norm, kappas, ads, log_cs))]
+        m = np.count_nonzero(fed)
+        solved = _kappa_newton(ask[0], d, KAPPA_CAP, *ask[1:])
         kappas[fed], ads[fed], log_cs[fed] = (v[:m] for v in solved)
-        if cands:
-            inside, cand, norm = cands
+        if into is not None:
             swap(inside, saved, state)
-            np.divide(cand[..., 1:], norm[..., None], out=mus, where=inside[:, None, None])
-            np.copyto(r_bars, norm, where=inside[:, None])
-            np.divide(cand[..., 0], cand[..., 0].sum(axis=1, keepdims=True), out=weights,
-                      where=inside[:, None])
-            kappas[inside], ads[inside], log_cs[inside] = (v[m:].reshape(-1, norm.shape[1]) for v in solved)
-            del cands, cand  # not held through the next E-step
+            np.divide(cand[..., 1:], norm[..., None], out=mus, where=into[..., None])
+            np.copyto(r_bars, norm, where=into)
+            np.divide(cand[..., 0], _component_sums(cand[..., 0], cuts)[:, None], out=weights,
+                      where=into)
+            kappas[into], ads[into], log_cs[into] = (v[m:] for v in solved)
+            del cand  # not held through the next E-step
         if leaving:  # the converged restarts leave only now: their M-step above is discarded
             keep = ~done
-            live, ll_ref, phase, step_max, theta0, step, mus, r_bars, kappas, ads, log_cs, weights = (
-                v[keep] for v in (live, ll_ref, phase, step_max, theta0, step, *state))
+            live, ll_ref, phase, step_max, theta0, step, real, *state = (
+                v[keep] for v in (live, ll_ref, phase, step_max, theta0, step, real, *state))
+            mus, r_bars, kappas, ads, log_cs, weights = state
             saved = [v[keep] for v in saved]
             if live.size == 0:
                 break
-    swap(phase >= 2, (mus, r_bars, kappas, ads, log_cs, weights), saved)  # at the cap, never an unchecked candidate
+            cuts = slices()
+    swap(phase >= 2, state, saved)  # at the cap, never an unchecked candidate
     leave(np.ones(live.size, dtype=bool))
-    return out
+    return [out[e - size:e] for size, e in zip(sizes, np.cumsum(sizes).tolist())]
 
 
-def _em_lockstep(X: np.ndarray, jobs: list) -> list:
-    """The _em_group of each (config, restarts) job advanced in lockstep, a
-    list of its results per job. Each iteration makes one _kappa_newton call
-    on the pieces every group yields (its fed components, then its
-    candidates'), concatenated, and hands each group its slice: the solve is
-    elementwise, so each value is the one a solve of the group alone
-    returns."""
-    groups = [_em_group(X, cfg, restarts) for cfg, restarts in jobs]
-    asks, out = [next(g) for g in groups], [None] * len(groups)
-    while running := [i for i, o in enumerate(out) if o is None]:
-        r_bar, kappa, a, log_c = (np.concatenate([p for i in running for p in asks[i][f]]) for f in range(4))
-        solved = _kappa_newton(r_bar, X.shape[1], KAPPA_CAP, kappa, a, log_c)
-        ends = np.cumsum([sum(p.size for p in asks[i][0]) for i in running]).tolist()
-        for i, lo, hi in zip(running, [0] + ends, ends):
-            try:
-                asks[i] = groups[i].send([v[lo:hi] for v in solved])
-            except StopIteration as stop:
-                out[i] = stop.value
-    return out
-
-
-def _em_blocks(cfgs, width: int):
+def _em_blocks(cfgs, n: int, d: int):
     """The (config index, restarts) jobs of each block, in order: the
     restarts of the configs, in order, fill blocks of at most _EM_BLOCK
-    elements at k * width each, and a restart larger than that has a block
-    of its own. Planned as they are taken, so one block's jobs are held at a
-    time whatever the restart counts."""
-    block, used = [], 0
+    elements, and a restart larger than that has a block of its own. A
+    restart counts k n + K d for its k and the block's largest, K: its
+    E-step arrays and its rows of the padded state; as K < n, this bounds
+    the (restart, K, d + 1) arrays too. Planned as they are taken, so one
+    block's jobs are held at a time whatever the restart counts."""
+    block, kn, rows, top = [], 0, 0, 0
     for i, cfg in enumerate(cfgs):
-        size, first = cfg.k * width, 0
+        first = 0
         while first < cfg.restarts:
+            k_max = max(top, cfg.k)
+            used, size = kn + rows * k_max * d, cfg.k * n + k_max * d
             if used + size > _EM_BLOCK and block:
                 yield block
-                block, used = [], 0
+                block, kn, rows, top = [], 0, 0, 0
+                continue
             stop = min(cfg.restarts, first + max(1, (_EM_BLOCK - used) // size))
             block.append((i, range(first, stop)))
-            used += size * (stop - first)
+            kn, rows, top = kn + cfg.k * n * (stop - first), rows + stop - first, k_max
             first = stop
     if block:
         yield block
 
 
 def fit_em_many(data: SampleSet, cfgs) -> list:
-    """fit_em for each config, all fitted in lockstep; each FitResult is bit
+    """fit_em for each config, all fitted together; each FitResult is bit
     for bit the one fit_em returns for its config.
 
     The restarts of the configs fill blocks of bounded size (_em_blocks),
-    and each block advances in lockstep with one concentration solve per
-    iteration for all its restarts.
+    and each block's restarts advance as one stack (_em_block), with one
+    M-step and one concentration solve per iteration for all of them.
     """
     X = data.points
     if X.shape[0] == 0:
@@ -442,8 +466,8 @@ def fit_em_many(data: SampleSet, cfgs) -> list:
             raise ValueError(f"need more observations than components ({cfg.k} >= {X.shape[0]})")
 
     best = [None] * len(cfgs)
-    for block in _em_blocks(cfgs, sum(X.shape)):
-        for (i, _), results in zip(block, _em_lockstep(X, [(cfgs[i], r) for i, r in block])):
+    for block in _em_blocks(cfgs, *X.shape):
+        for (i, _), results in zip(block, _em_block(X, [(cfgs[i], r) for i, r in block])):
             for result in results:  # the first restart with the highest log-likelihood wins
                 if best[i] is None or result[1] > best[i][1]:
                     best[i] = result

@@ -117,7 +117,8 @@ class TestLogNormalizingConstant:
             with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
                 call()
 
-    @pytest.mark.parametrize("d", [3, np.int64(3), np.intc(3), np.eye(3).shape[1]])
+    @pytest.mark.parametrize("d", [3, np.int64(3), np.intc(3), np.uint64(3)],
+                             ids=["int", "int64", "intc", "uint64"])
     def test_python_and_numpy_integer_dimensions_accepted(self, d):
         assert log_normalizing_constant(d, 1.0) == log_normalizing_constant(3, 1.0)
         assert mean_resultant_ratio(d, 1.0) == mean_resultant_ratio(3, 1.0)

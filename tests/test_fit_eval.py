@@ -19,7 +19,7 @@ from vmfgeom import fit_eval
 from vmfgeom.experiments import SIM2_FIT_RANGE, SIM2_N, _derived_seed, sim2_truth
 from vmfgeom.bessel import _TINY
 from vmfgeom.core import log_peak_density
-from vmfgeom.fit_eval import (_EM_BLOCK, _em_lockstep, _kappa_newton, _seed_directions,
+from vmfgeom.fit_eval import (_EM_BLOCK, _em_block, _kappa_newton, _seed_directions,
                               fit_em_many)
 from vmfgeom.rng import substream
 
@@ -202,7 +202,7 @@ def em_reference(X, cfg, rng):
 
 
 def estep_component_major(X, mus, kappas, weights):
-    """One restart's E-step as _em_group forms it: k x n log-densities,
+    """One restart's E-step as _em_block forms it: k x n log-densities,
     one exp, its column sums, and the quotients by them flushed below tiny.
     Returns (log-likelihood, effective counts, resultants, worst-explained
     point)."""
@@ -306,7 +306,7 @@ def assert_restarts_match_oracle(X, cfg, blocks=None):
     wants = [em_once_reference(X, cfg, substream(cfg.seed, "em-restart", r))
              for r in range(cfg.restarts)]
     got = [res for block in blocks or [range(cfg.restarts)]
-           for res in _em_lockstep(X, [(cfg, block)])[0]]
+           for res in _em_block(X, [(cfg, block)])[0]]
     for a, b in zip(got, wants, strict=True):
         assert_same_fit(a, b)
     return wants
@@ -378,7 +378,7 @@ class TestArrayEm:
         subnormals = 0
         for k in (2, 4, 6):
             cfg = FitConfig(k=k, restarts=3, seed=seed)
-            for r, got in enumerate(_em_lockstep(X, [(cfg, range(cfg.restarts))])[0]):
+            for r, got in enumerate(_em_block(X, [(cfg, range(cfg.restarts))])[0]):
                 want = em_reference(X, cfg, substream(seed, "em-restart", r))
                 # An extrapolated step scales the two arithmetics' rounding
                 # differences by up to s^2: 5.4e-12 at most here.
@@ -417,7 +417,7 @@ class TestRestartBlocks:
         # every restart keeps its course and the same one wins.
         data = sample_mixture(sim2_truth(), SIM2_N, seed=_derived_seed(0, "sim2-sample"))
         cfg = FitConfig(k=k, restarts=10, seed=_derived_seed(0, "sim2-fit", k))
-        got = _em_lockstep(data.points, [(cfg, range(cfg.restarts))])[0]
+        got = _em_block(data.points, [(cfg, range(cfg.restarts))])[0]
         wants = [em_once_reference(data.points, cfg, substream(cfg.seed, "em-restart", r),
                                    estep_point_major) for r in range(cfg.restarts)]
         for a, b in zip(got, wants, strict=True):
@@ -442,7 +442,7 @@ class TestRestartBlocks:
 
     def test_768d_subnormal_responsibilities_bit_identical(self):
         # The oracle forms every subnormal responsibility and exponential,
-        # _em_group none: the fits must still agree bit for bit.
+        # _em_block none: the fits must still agree bit for bit.
         X = five_clusters_768(600, seed=0)
         wants = assert_restarts_match_oracle(X, FitConfig(k=6, restarts=3, seed=0))
         assert all(subnormal_share(X, w[0]) >= 0.2 for w in wants)
@@ -479,7 +479,7 @@ class TestRestartBlocks:
 
         X = five_clusters_768(1000, seed=0)
         monkeypatch.setattr(fit_eval, "np", CountingNumpy())
-        fits = _em_lockstep(X, [(FitConfig(k=20, restarts=3, seed=0), range(3))])[0]
+        fits = _em_block(X, [(FitConfig(k=20, restarts=3, seed=0), range(3))])[0]
         iterations = max(r[2] for r in fits)
         assert len(outputs) == len(products) == iterations
         assert sum(count for _, count in outputs) == 0
@@ -526,7 +526,7 @@ class TestRestartBlocks:
 
 
 class TestFitEmMany:
-    """A sweep fitted in lockstep against a separate fit_em per config."""
+    """A sweep fitted in stacked blocks against a separate fit_em per config."""
 
     @staticmethod
     def assert_fits_equal(got, want):
@@ -552,13 +552,13 @@ class TestFitEmMany:
         cfgs = [FitConfig(k=20, restarts=11, seed=4), FitConfig(k=15, restarts=17, seed=5),
                 FitConfig(k=20, restarts=3, seed=6)]
         blocks = []
-        real = fit_eval._em_lockstep
+        real = fit_eval._em_block
 
         def recording(X, jobs):
             blocks.append([(cfg.k, restarts) for cfg, restarts in jobs])
             return real(X, jobs)
 
-        monkeypatch.setattr(fit_eval, "_em_lockstep", recording)
+        monkeypatch.setattr(fit_eval, "_em_block", recording)
         fits = fit_em_many(data, cfgs)
         assert blocks == [[(20, range(0, 11)), (15, range(0, 2))],
                           [(15, range(2, 17)), (20, range(0, 1))], [(20, range(1, 3))]]
@@ -575,7 +575,7 @@ class TestFitEmMany:
         def first_block(X, jobs):
             raise Started(jobs)
 
-        monkeypatch.setattr(fit_eval, "_em_lockstep", first_block)
+        monkeypatch.setattr(fit_eval, "_em_block", first_block)
         data = sample_mixture(sim2_truth(), 60, seed=1)
         with pytest.raises(Started) as exc:
             fit_em(data, FitConfig(k=3, restarts=10 ** 15))
@@ -595,6 +595,61 @@ class TestFitEmMany:
         data = sample_mixture(sim2_truth(), 10, seed=1)
         with pytest.raises(ValueError, match="10 >= 10"):
             fit_em_many(data, [FitConfig(k=2), FitConfig(k=10)])
+
+    def test_mixed_k_block_bit_identical(self):
+        # k = 1, 2, 5 and 12 in one stack padded to 12 components, where one
+        # k = 12 restart reseeds 13 times. Padding k = 5 past 8 columns would
+        # move its sums over components, which numpy sums pairwise from 8.
+        data = sample_mixture(sim2_truth(), 120, seed=11)
+        cfgs = [FitConfig(k=1, restarts=2, seed=3), FitConfig(k=12, restarts=3, seed=4),
+                FitConfig(k=2, restarts=3, seed=5), FitConfig(k=5, restarts=3, seed=6)]
+        jobs = [(cfg, range(cfg.restarts)) for cfg in cfgs]
+        plan = list(fit_eval._em_blocks(cfgs, *data.points.shape))
+        assert plan == [list(enumerate(r for _, r in jobs))]
+        stacked = _em_block(data.points, jobs)
+        for job, got in zip(jobs, stacked, strict=True):
+            for a, b in zip(got, _em_block(data.points, [job])[0], strict=True):
+                assert_same_fit(a, b)
+        assert [res[4] for res in stacked[1]] == [0, 13, 0]
+        for got, cfg in zip(fit_em_many(data, cfgs), cfgs, strict=True):
+            self.assert_fits_equal(got, fit_em(data, cfg))
+
+    def test_padding_counts_against_the_block_bound(self, monkeypatch):
+        # Behind a k = 40 restart at d = 768, each k = 1 restart holds
+        # 40 x 768 padded state: counted at k (n + d) as before padding, all 60
+        # would join its block, in (61, 40, 768) arrays of 15 MB each.
+        monkeypatch.setattr(fit_eval, "MAX_ITERS", 3)
+        data = SampleSet(points=five_clusters_768(50, seed=2))
+        cfgs = [FitConfig(k=40, restarts=1, seed=2), FitConfig(k=1, restarts=60, seed=1)]
+        assert list(fit_eval._em_blocks(cfgs, 50, 768)) == [[(0, range(1)), (1, range(7))],
+                                                             [(1, range(7, 60))]]
+        fit_em(data, FitConfig(k=2, restarts=1))  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            fits = fit_em_many(data, cfgs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * _EM_BLOCK  # eight block-sized float64 arrays (6.7 here)
+        for got, cfg in zip(fits, cfgs, strict=True):
+            self.assert_fits_equal(got, fit_em(data, cfg))
+
+    @pytest.mark.slow
+    def test_sim2_sweep_is_one_stack(self, monkeypatch):
+        # sim2 seed 0's nine configs (216,000 + 1,800 elements) form one
+        # block, and its 500 iterations make one M-step each for all 90
+        # restarts, not one per config (2,425 group-iterations).
+        data, cfgs = sim2_sweep(0)
+        plan = list(fit_eval._em_blocks(cfgs, *data.points.shape))
+        assert plan == [[(i, range(10)) for i in range(9)]]
+        calls = {"_em_block": 0, "_m_step": 0}
+        for name in calls:
+            def counting(*args, name=name, real=getattr(fit_eval, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(fit_eval, name, counting)
+        fit_em_many(data, cfgs)
+        assert calls == {"_em_block": 1, "_m_step": 500}
 
     @pytest.mark.slow
     def test_sim2_sweep_pools_the_solves(self, ive_calls, monkeypatch):
@@ -724,7 +779,7 @@ class TestBesselCalls:
 
         monkeypatch.setattr(fit_eval, "_component_log_pdfs", watched)
         data = sample_mixture(sim2_truth(), 400, seed=3)
-        _em_lockstep(data.points, [(FitConfig(k=4, restarts=3, seed=1), range(3))])
+        _em_block(data.points, [(FitConfig(k=4, restarts=3, seed=1), range(3))])
         assert len(per_call) > 10 and set(per_call) == {0}
         assert ive_calls
 
@@ -804,7 +859,7 @@ class TestFitEm:
         lls = []
         for t in range(1, 41):
             monkeypatch.setattr(fit_eval, "MAX_ITERS", t)
-            lls.append([res[1] for res in _em_lockstep(data.points, [(cfg, range(3))])[0]])
+            lls.append([res[1] for res in _em_block(data.points, [(cfg, range(3))])[0]])
         assert np.all(np.diff(lls, axis=0) >= -1e-10)
         monkeypatch.undo()
         fit = fit_em(data, cfg)
@@ -885,6 +940,23 @@ class TestFitEm:
         error = ValueError if field in ("k", "restarts") else TypeError
         with pytest.raises(error, match=field):
             FitConfig(**{"k": 2, field: value})
+
+    @pytest.mark.parametrize("field", ["k", "restarts"])
+    @pytest.mark.parametrize("value", [True, 2.5, 2.0, np.float64(2.0), "3", None],
+                             ids=["bool", "2.5", "2.0", "float64", "str", "None"])
+    def test_config_refuses_non_integer_counts(self, field, value):
+        # restarts=True ran one restart; 2.5 failed deep in numpy and "3" at "<".
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            FitConfig(**{"k": 2, field: value})
+
+    @pytest.mark.parametrize("value", [np.int64(2), np.intc(2), np.uint8(2)],
+                             ids=["int64", "intc", "uint8"])
+    def test_config_accepts_numpy_integers(self, value):
+        data = sample_mixture(sim2_truth(), 60, seed=1)
+        want = fit_em(data, FitConfig(k=2, restarts=2, seed=3))
+        for cfg in (FitConfig(k=value, restarts=2, seed=3), FitConfig(k=2, restarts=value, seed=3)):
+            assert cfg == FitConfig(k=2, restarts=2, seed=3)
+            assert_same_fit(astuple_fit(fit_em(data, cfg)), astuple_fit(want))
 
     def test_config_carries_only_what_callers_choose(self):
         assert [f.name for f in dataclasses.fields(FitConfig)] == ["k", "restarts", "seed"]
