@@ -20,6 +20,9 @@ from .rng import substream
 # TOL relative to it, or after MAX_ITERS; concentrations stop at KAPPA_CAP,
 # and kappa_mle's at MLE_KAPPA_CAP.
 MAX_ITERS, TOL, KAPPA_CAP, MLE_KAPPA_CAP = 500, 1e-8, 1e5, 1e12
+# mds_embed's Lanczos stops once each of the top dim Ritz pairs has a
+# residual of at most MDS_TOL times the largest Ritz value's magnitude.
+MDS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -514,6 +517,14 @@ def knn_predict(distances, train_labels, k: int) -> int:
 def mds_embed(dm, dim: int) -> MdsResult:
     """Classical (double-centering) MDS embedding of a distance matrix.
 
+    The matrix is first scaled by a power of two that brings its largest
+    entry into [0.5, 1), and the coordinates are scaled back at the end;
+    both steps are exact, and the largest square neither overflows nor
+    underflows. The Gram matrix is double-centred by its row and column
+    means, and its top dim eigenpairs come from _top_eigenpairs. Each axis
+    is signed so that its largest-magnitude coordinate (the first, if
+    magnitudes tie) is positive.
+
     Eigenvalues below zero are truncated; if fewer than dim positive
     eigenvalues exist, the missing columns are zero and the result is
     flagged as padded.
@@ -524,17 +535,76 @@ def mds_embed(dm, dim: int) -> MdsResult:
         raise ValueError(f"an embedding needs at least 2 points, got {n}")
     if not 1 <= dim < n:
         raise ValueError(f"dim must be in [1, {n - 1}], got {dim}")
-    j = np.eye(n) - np.ones((n, n)) / n
-    b = -0.5 * j @ (d ** 2) @ j
-    evals, evecs = np.linalg.eigh(b)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order][:dim]
-    evecs = evecs[:, order][:, :dim]
+    shift = int(np.frexp(d.max())[1])
+    b = np.ldexp(d, -shift)
+    b *= b
+    # b_ij = -(sq_ij - r_i - r_j + mean(r)) / 2, with r the row means of the
+    # squares; the matrix being symmetric, they are its column means too.
+    half = 0.5 * b.mean(axis=1)
+    half -= 0.5 * half.mean()
+    b *= -0.5
+    b += half
+    b += half[:, None]
+    evals, evecs = _top_eigenpairs(b, dim)
     # Numerical-rank cutoff: rounding noise around zero must not masquerade
     # as a usable axis.
     cutoff = n * np.finfo(float).eps * max(float(evals[0]), 0.0)
     positive = evals > cutoff
     coords = np.zeros((n, dim))
     coords[:, positive] = evecs[:, positive] * np.sqrt(evals[positive])
-    return MdsResult(coords=coords, eigenvalues=np.where(positive, evals, 0.0),
+    peak = coords[np.abs(coords).argmax(axis=0), np.arange(dim)]
+    coords *= np.where(peak < 0.0, -1.0, 1.0)
+    with np.errstate(over="ignore"):  # an eigenvalue past the float range is reported as inf
+        evals = np.ldexp(np.where(positive, evals, 0.0), 2 * shift)
+    return MdsResult(coords=np.ldexp(coords, shift), eigenvalues=evals,
                      n_positive=int(positive.sum()))
+
+
+def _top_eigenpairs(b: np.ndarray, k: int):
+    """The k largest eigenvalues of the symmetric matrix b, in descending
+    order, and their unit eigenvectors as columns.
+
+    Lanczos with full reorthogonalisation (classical Gram-Schmidt, twice)
+    from a fixed start vector. A new direction below n eps times b's
+    Frobenius norm is rounding noise: the Krylov space is invariant, so the
+    basis goes on with a new block from a fresh random vector orthogonal to
+    it. At step 2k + 4, then at each 1.5-fold step count, the iteration
+    stops once each of the top k Ritz pairs has residual
+    |beta_m s_mi| <= MDS_TOL max|theta|. After n steps the basis spans the
+    whole space and the Ritz pairs are exact.
+
+    A test is put off while a block of two or more steps nearly closes
+    (beta_m at most sqrt(MDS_TOL) times the norm): an eigenvalue repeated to
+    within rounding ends a block that way with one copy found, and the next
+    block finds the next copy. A fresh vector that is invariant at once
+    shows the rest of the space to be one eigenspace, and puts nothing off.
+    """
+    n = b.shape[0]
+    rng = substream(0, "mds")
+    norm = float(np.sqrt(np.einsum("ij,ij->", b, b)))
+    basis = np.empty((n, n))  # row j is the j-th Lanczos vector; untouched rows cost no memory
+    alpha, beta = np.zeros(n), np.zeros(n)
+    v = rng.standard_normal(n)
+    basis[0] = v / math.sqrt(v @ v)
+    test, block = min(2 * k + 4, n), 0
+    for j in range(n):
+        w = b @ basis[j]
+        for _ in range(2):
+            h = basis[:j + 1] @ w
+            w -= h @ basis[:j + 1]
+            alpha[j] += h[j]
+        m = j + 1
+        beta[j] = math.sqrt(w @ w)
+        closing = beta[j] <= math.sqrt(MDS_TOL) * norm and m - block > 1
+        if m == n or (m >= test and not closing):
+            theta, s = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(beta[:m - 1], -1))
+            theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
+            if m == n or np.all(beta[j] * np.abs(s[-1]) <= MDS_TOL * np.abs(theta).max()):
+                return theta, (s.T @ basis[:m]).T
+            test = min(math.ceil(1.5 * m), n)
+        if beta[j] <= n * np.finfo(float).eps * norm:
+            beta[j], block = 0.0, m
+            w = rng.standard_normal(n)
+            for _ in range(2):
+                w -= (basis[:m] @ w) @ basis[:m]
+        basis[m] = w / math.sqrt(w @ w)

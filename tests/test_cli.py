@@ -22,9 +22,9 @@ import vmfgeom
 from vmfgeom import VmfMixture, VmfParams, fit_eval, l2_distance, sample_mixture
 from vmfgeom.cli import build_parser, main
 from vmfgeom.core import MAX_SAMPLE_ENTRIES
-from vmfgeom.experiments import sim2_truth
-from vmfgeom.formats import read_mixture, read_samples, write_mixture
-from vmfgeom.geometry import MAX_PAIRWISE_LAWS
+from vmfgeom.experiments import sim1_population, sim2_truth
+from vmfgeom.formats import read_mixture, read_samples, write_distance_matrix, write_mixture
+from vmfgeom.geometry import MAX_PAIRWISE_LAWS, pairwise_matrix
 
 
 def run_cli(*args):
@@ -430,6 +430,31 @@ class TestEmbed:
         coords = np.loadtxt(out, delimiter=",")
         got = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
         assert got == pytest.approx(d, abs=1e-9)
+
+    def test_huge_entries(self, tmp_path, capsys):
+        # Squaring 1e200 used to overflow, warn twice and exit 2 with
+        # "Eigenvalues did not converge".
+        src = tmp_path / "d.csv"
+        np.savetxt(src, (np.ones((3, 3)) - np.eye(3)) * 1e200, delimiter=",", fmt="%.17g")
+        out = tmp_path / "coords.csv"
+        assert main(["embed", str(src), "--dim", "2", "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        coords = np.loadtxt(out, delimiter=",") / 1e200
+        got = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
+        assert got == pytest.approx(np.ones((3, 3)) - np.eye(3), rel=1e-12, abs=1e-12)
+
+    def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path, bench_cli):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("fewer than 2 CPUs: 1 and 2 BLAS threads cannot be compared")
+        src = tmp_path / "wl.csv"  # sim1's WL matrix: 400 x 400, far from Euclidean
+        write_distance_matrix(src, pairwise_matrix(sim1_population(0)[0], metric="wl"))
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"coords_{threads}.csv"
+            run = bench_cli("embed", src, "--dim", "2", "-o", out, threads=threads)
+            assert (run.returncode, run.stderr) == (0, "")
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_asymmetric_matrix_exit_2(self, tmp_path):
         src = tmp_path / "d.csv"

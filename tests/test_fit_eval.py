@@ -16,7 +16,8 @@ from vmfgeom import (DistanceMatrix, FitConfig, SampleSet, VmfMixture, VmfParams
                      mean_resultant_ratio, mixture_log_likelihood, sample, sample_mixture,
                      geodesic_distance)
 from vmfgeom import fit_eval
-from vmfgeom.experiments import SIM2_FIT_RANGE, SIM2_N, _derived_seed, sim2_truth
+from vmfgeom.experiments import SIM2_FIT_RANGE, SIM2_N, _derived_seed, sim1_population, sim2_truth
+from vmfgeom.geometry import pairwise_matrix
 from vmfgeom.bessel import _TINY
 from vmfgeom.core import log_peak_density
 from vmfgeom.fit_eval import (_EM_BLOCK, _em_block, _kappa_newton, _seed_directions,
@@ -1009,7 +1010,48 @@ class TestKnn:
             knn_predict(np.array([0.1, 0.2]), np.array([0, 1]), 3)
 
 
+def pairwise_distances(coords):
+    return np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
+
+
+def mds_oracle(d, dim):
+    """Classical MDS by np.linalg.eigh of the mean-centred matrix, with
+    mds_embed's truncation cutoff and sign rule: (eigenvalues, coordinates,
+    centred matrix)."""
+    sq = d ** 2
+    b = -0.5 * (sq - sq.mean(axis=0) - sq.mean(axis=1)[:, None] + sq.mean())
+    evals, evecs = np.linalg.eigh(b)
+    evals, evecs = evals[::-1][:dim], evecs[:, ::-1][:, :dim]
+    positive = evals > d.shape[0] * np.finfo(float).eps * max(evals[0], 0.0)
+    coords = np.where(positive, evecs * np.sqrt(np.abs(evals)), 0.0)
+    peak = coords[np.abs(coords).argmax(axis=0), np.arange(dim)]
+    return np.where(positive, evals, 0.0), coords * np.where(peak < 0.0, -1.0, 1.0), b
+
+
+def euclidean_distances(points):
+    d = pairwise_distances(points)
+    return np.triu(d, 1) + np.triu(d, 1).T  # exactly symmetric, as DistanceMatrix asks
+
+
+def assert_matches_oracle(d, dim):
+    res = mds_embed(DistanceMatrix(entries=d), dim)
+    evals, coords, _ = mds_oracle(d, dim)
+    assert res.n_positive == np.count_nonzero(evals)
+    assert res.eigenvalues == pytest.approx(evals, rel=0, abs=1e-12 * evals[0])
+    # The sign rule decides nothing where an axis's two largest magnitudes
+    # tie, as the two points of n = 2 do; there the oracle sets the sign.
+    top = -np.sort(-np.abs(coords), axis=0)[:2]
+    tied = top[0] - top[1] <= 1e-9 * top[0]
+    signs = np.where(tied & (np.sum(res.coords * coords, axis=0) < 0.0), -1.0, 1.0)
+    assert np.abs(res.coords * signs - coords).max() <= 1e-9 * np.abs(coords).max()
+    return res
+
+
 class TestMds:
+    @pytest.fixture(scope="class")
+    def sim1_wl(self):
+        return pairwise_matrix(sim1_population(0)[0], metric="wl").entries
+
     def test_equilateral_triangle(self):
         d = np.ones((3, 3)) - np.eye(3)
         res = mds_embed(DistanceMatrix(entries=d), 2)
@@ -1044,3 +1086,103 @@ class TestMds:
     def test_fewer_than_two_points(self, n):
         with pytest.raises(ValueError, match=f"at least 2 points, got {n}$"):
             mds_embed(DistanceMatrix(entries=np.zeros((n, n))), 1)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-300])
+    def test_extreme_scales(self, scale):
+        # Squaring 1e200 overflows and 1e-170 underflows; the power-of-two
+        # scaling keeps both exact instead of failing or padding with zeros.
+        pos = np.array([0.0, 1.0, 3.0])
+        d = np.abs(pos[:, None] - pos[None, :]) * scale
+        res = mds_embed(DistanceMatrix(entries=d), 2)
+        assert res.n_positive == 1 and np.all(res.coords[:, 1] == 0.0)
+        assert res.coords[:, 0] / scale == pytest.approx(pos - pos.mean(), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("ambient", [2, 5])
+    def test_euclidean_points_match_eigh(self, ambient):
+        rng = np.random.default_rng(ambient)
+        pts = rng.standard_normal((40, ambient)) * np.linspace(1.0, 3.0, ambient)
+        for dim in range(1, ambient + 3):
+            res = assert_matches_oracle(euclidean_distances(pts), dim)
+            assert res.n_positive == min(dim, ambient)
+        assert pairwise_distances(res.coords) == pytest.approx(euclidean_distances(pts), abs=1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10])
+    def test_sim1_wl_matrix_matches_eigh(self, sim1_wl, dim):
+        assert np.linalg.eigvalsh(mds_oracle(sim1_wl, 1)[2])[0] < -50.0  # far from Euclidean
+        assert_matches_oracle(sim1_wl, dim)
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_every_dim(self, n):
+        # A random dissimilarity matrix: its centred matrix is of full rank,
+        # with positive and negative eigenvalues.
+        upper = np.triu(np.random.default_rng(n).uniform(0.5, 2.0, (n, n)), 1)
+        for dim in range(1, n):
+            assert_matches_oracle(upper + upper.T, dim)
+
+    @pytest.mark.parametrize("n", [3, 12, 60])
+    def test_regular_simplex(self, n):
+        # All n - 1 nonzero eigenvalues are 1/2, so any orthonormal basis of
+        # their eigenspace is right: check the eigenpairs and, at full
+        # dimension, the distances.
+        d = np.ones((n, n)) - np.eye(n)
+        b = mds_oracle(d, 1)[2]
+        for dim in sorted({1, 2, n // 2, n - 1}):
+            res = mds_embed(DistanceMatrix(entries=d), dim)
+            assert res.n_positive == dim
+            assert res.eigenvalues == pytest.approx(np.full(dim, 0.5), rel=1e-12)
+            assert res.coords.T @ res.coords == pytest.approx(np.diag(res.eigenvalues), abs=1e-12)
+            assert np.abs(b @ res.coords - res.coords * res.eigenvalues).max() <= 1e-12
+        assert pairwise_distances(res.coords) == pytest.approx(d, abs=1e-12)
+
+    @pytest.mark.parametrize("extra", [0, 3, 6])
+    def test_repeated_top_eigenvalue(self, extra):
+        # Four quarter-turns of one point set in the plane give its two
+        # plane axes equal eigenvalues; extra coordinates shared by each
+        # orbit add distinct ones. At extra = 6 the first Lanczos block ends
+        # at step 8, where dim 2 has its first test, with one copy found.
+        # Compare the eigenspace projector.
+        rng = np.random.default_rng(extra)
+        base = np.hstack([rng.uniform(-1.0, 1.0, (25, 2)), 0.3 * rng.standard_normal((25, extra))])
+        turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+        pts = np.vstack([np.hstack([base[:, :2] @ np.linalg.matrix_power(turn, r), base[:, 2:]])
+                         for r in range(4)])
+        d = euclidean_distances(pts)
+        evals, coords, _ = mds_oracle(d, 2)
+        assert evals[1] == pytest.approx(evals[0], rel=1e-12)
+        for dim in range(2, extra + 4):
+            res = mds_embed(DistanceMatrix(entries=d), dim)
+            assert res.eigenvalues[:2] == pytest.approx(evals, rel=1e-12)
+            plane = res.coords[:, :2]
+            assert plane @ plane.T == pytest.approx(coords @ coords.T, abs=1e-9 * evals[0])
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_collinear_points_pad(self, dim):
+        pos = np.random.default_rng(2).uniform(-5.0, 5.0, 30)
+        res = assert_matches_oracle(np.abs(pos[:, None] - pos[None, :]), dim)
+        assert res.n_positive == 1 and res.padded == (dim > 1)
+        assert np.all(res.coords[:, 1:] == 0.0)
+
+    def test_low_rank_stops_early(self, monkeypatch):
+        # Past the rank, every fresh vector is invariant at once; that must
+        # not put off the test until all n steps are done.
+        sizes, held = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda t: sizes.append(len(t)) or held(t))
+        pos = np.random.default_rng(4).uniform(-5.0, 5.0, (200, 3))
+        res = mds_embed(DistanceMatrix(entries=euclidean_distances(pos)), 10)
+        assert res.n_positive == 3
+        assert sizes == [24]
+
+    def test_repeatable_and_signed(self, sim1_wl):
+        dm = DistanceMatrix(entries=sim1_wl)
+        first, again = mds_embed(dm, 3), mds_embed(dm, 3)
+        assert first.coords.tobytes() == again.coords.tobytes()
+        assert first.eigenvalues.tobytes() == again.eigenvalues.tobytes()
+        peaks = first.coords[np.abs(first.coords).argmax(axis=0), np.arange(3)]
+        assert np.all(peaks > 0.0)
+
+    def test_huge_triangle_keeps_both_axes(self):
+        d = (np.ones((3, 3)) - np.eye(3)) * 1e200
+        res = mds_embed(DistanceMatrix(entries=d), 2)
+        assert res.n_positive == 2
+        assert np.all(res.eigenvalues == np.inf)  # 5e399 is past the float range
+        assert pairwise_distances(res.coords / 1e200) == pytest.approx(d / 1e200, rel=1e-12, abs=0)
