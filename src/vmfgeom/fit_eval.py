@@ -527,7 +527,11 @@ def mds_embed(dm, dim: int) -> MdsResult:
 
     Eigenvalues below zero are truncated; if fewer than dim positive
     eigenvalues exist, the missing columns are zero and the result is
-    flagged as padded.
+    flagged as padded. So is an axis whose largest coordinate, scaled back,
+    is below the normal float range, where coordinates lose their
+    precision. The eigenvalue of a kept axis, on the square of the scale,
+    can leave the float range, and is then reported as its rounding: 0
+    below the range, inf above it.
     """
     d = dm.entries
     n = d.shape[0]
@@ -552,59 +556,69 @@ def mds_embed(dm, dim: int) -> MdsResult:
     positive = evals > cutoff
     coords = np.zeros((n, dim))
     coords[:, positive] = evecs[:, positive] * np.sqrt(evals[positive])
+    coords = np.ldexp(coords, shift)
+    # Scaled back below the normal range, an axis loses its precision, down
+    # to all zeros: it is padding like any other (+0, not -0).
+    positive &= np.abs(coords).max(axis=0) >= np.finfo(float).tiny
+    coords[:, ~positive] = 0.0
     peak = coords[np.abs(coords).argmax(axis=0), np.arange(dim)]
     coords *= np.where(peak < 0.0, -1.0, 1.0)
     with np.errstate(over="ignore"):  # an eigenvalue past the float range is reported as inf
         evals = np.ldexp(np.where(positive, evals, 0.0), 2 * shift)
-    return MdsResult(coords=np.ldexp(coords, shift), eigenvalues=evals,
-                     n_positive=int(positive.sum()))
+    return MdsResult(coords=coords, eigenvalues=evals, n_positive=int(positive.sum()))
 
 
 def _top_eigenpairs(b: np.ndarray, k: int):
     """The k largest eigenvalues of the symmetric matrix b, in descending
     order, and their unit eigenvectors as columns.
 
-    Lanczos with full reorthogonalisation (classical Gram-Schmidt, twice)
-    from a fixed start vector. A new direction below n eps times b's
-    Frobenius norm is rounding noise: the Krylov space is invariant, so the
-    basis goes on with a new block from a fresh random vector orthogonal to
-    it. At step 2k + 4, then at each 1.5-fold step count, the iteration
-    stops once each of the top k Ritz pairs has residual
-    |beta_m s_mi| <= MDS_TOL max|theta|. After n steps the basis spans the
-    whole space and the Ritz pairs are exact.
-
-    A test is put off while a block of two or more steps nearly closes
-    (beta_m at most sqrt(MDS_TOL) times the norm): an eigenvalue repeated to
-    within rounding ends a block that way with one copy found, and the next
-    block finds the next copy. A fresh vector that is invariant at once
-    shows the rest of the space to be one eigenspace, and puts nothing off.
+    Block Lanczos with full reorthogonalisation (classical Gram-Schmidt,
+    twice), one vector at a time: the basis starts with k fixed random
+    orthonormal vectors, and vector j + k is b q_j made orthogonal to every
+    vector before it. From a start block of k vectors the Krylov space holds
+    up to k copies of a repeated eigenvalue, all that the top k pairs can
+    need; from one vector it would hold one. The projected matrix
+    t = Q^T b Q is banded, t[r, j] = 0 for r > j + k, and only its lower
+    band is kept. A new direction below n eps times b's Frobenius norm is
+    rounding noise, and a fresh random vector orthogonal to the basis takes
+    its place. With m columns of t complete, at m = 2k + 4 and then at each
+    1.5-fold m, the iteration stops once each of the top k Ritz pairs
+    (theta, s) has residual ||t[m:m+k, m-k:m] s[m-k:]|| <= MDS_TOL max|theta|.
+    At m = n the basis spans the whole space and the Ritz pairs are exact.
+    Every product is a matrix-vector one: matrix-matrix products of more
+    than a few columns round differently at different BLAS thread counts.
     """
     n = b.shape[0]
     rng = substream(0, "mds")
-    norm = float(np.sqrt(np.einsum("ij,ij->", b, b)))
+    tiny = n * np.finfo(float).eps * float(np.sqrt(np.einsum("ij,ij->", b, b)))
     basis = np.empty((n, n))  # row j is the j-th Lanczos vector; untouched rows cost no memory
-    alpha, beta = np.zeros(n), np.zeros(n)
-    v = rng.standard_normal(n)
-    basis[0] = v / math.sqrt(v @ v)
-    test, block = min(2 * k + 4, n), 0
+    band = np.zeros((n, n))  # band[r, j] = q_r . b q_j for j <= r <= j + k
+
+    def fresh(m):  # a random unit vector orthogonal to basis[:m]
+        w = rng.standard_normal(n)
+        for _ in range(2):
+            w -= (basis[:m] @ w) @ basis[:m]
+        return w / math.sqrt(w @ w)
+
+    for r in range(k):
+        basis[r] = fresh(r)
+    test = min(2 * k + 4, n)
     for j in range(n):
         w = b @ basis[j]
+        top = min(j + k, n)
         for _ in range(2):
-            h = basis[:j + 1] @ w
-            w -= h @ basis[:j + 1]
-            alpha[j] += h[j]
+            h = basis[:top] @ w
+            w -= h @ basis[:top]
+            band[j:top, j] += h[j:]
+        if top < n:
+            beta = math.sqrt(w @ w)
+            band[top, j] = beta if beta > tiny else 0.0
+            basis[top] = w / beta if beta > tiny else fresh(top)
         m = j + 1
-        beta[j] = math.sqrt(w @ w)
-        closing = beta[j] <= math.sqrt(MDS_TOL) * norm and m - block > 1
-        if m == n or (m >= test and not closing):
-            theta, s = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(beta[:m - 1], -1))
+        if m >= test:
+            theta, s = np.linalg.eigh(band[:m, :m])
             theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
-            if m == n or np.all(beta[j] * np.abs(s[-1]) <= MDS_TOL * np.abs(theta).max()):
-                return theta, (s.T @ basis[:m]).T
+            residual = np.linalg.norm(band[m:m + k, m - k:m] @ s[m - k:], axis=0)
+            if m == n or np.all(residual <= MDS_TOL * np.abs(theta).max()):
+                return theta, np.column_stack([x @ basis[:m] for x in s.T])
             test = min(math.ceil(1.5 * m), n)
-        if beta[j] <= n * np.finfo(float).eps * norm:
-            beta[j], block = 0.0, m
-            w = rng.standard_normal(n)
-            for _ in range(2):
-                w -= (basis[:m] @ w) @ basis[:m]
-        basis[m] = w / math.sqrt(w @ w)

@@ -443,6 +443,17 @@ class TestEmbed:
         got = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
         assert got == pytest.approx(np.ones((3, 3)) - np.eye(3), rel=1e-12, abs=1e-12)
 
+    def test_subnormal_entries_warn(self, tmp_path, capsys):
+        # Scaled back, coordinates near 1e-324 keep a bit or two at most:
+        # both axes are padding, which embed must say, not write them as an
+        # embedding.
+        src = tmp_path / "d.csv"
+        np.savetxt(src, (np.ones((4, 4)) - np.eye(4)) * 5e-324, delimiter=",", fmt="%.17g")
+        out = tmp_path / "coords.csv"
+        assert main(["embed", str(src), "--dim", "2", "-o", str(out)]) == 0
+        assert "only 0 positive eigenvalues" in capsys.readouterr().err
+        assert out.read_text().split() == ["0,0"] * 4
+
     def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path, bench_cli):
         if len(os.sched_getaffinity(0)) < 2:
             pytest.skip("fewer than 2 CPUs: 1 and 2 BLAS threads cannot be compared")

@@ -1091,11 +1091,25 @@ class TestMds:
     def test_extreme_scales(self, scale):
         # Squaring 1e200 overflows and 1e-170 underflows; the power-of-two
         # scaling keeps both exact instead of failing or padding with zeros.
+        # The eigenvalue (14/3 scale^2) is reported as its float rounding.
         pos = np.array([0.0, 1.0, 3.0])
         d = np.abs(pos[:, None] - pos[None, :]) * scale
         res = mds_embed(DistanceMatrix(entries=d), 2)
         assert res.n_positive == 1 and np.all(res.coords[:, 1] == 0.0)
         assert res.coords[:, 0] / scale == pytest.approx(pos - pos.mean(), rel=1e-12, abs=0)
+        with np.errstate(over="ignore"):  # 14/3 * 1e400 is inf; below 1e-308 it is 0
+            assert res.eigenvalues == pytest.approx([14 / 3 * np.float64(scale) ** 2, 0.0],
+                                                    rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_subnormal_coordinates_are_padding(self, dim):
+        # Scaled back, coordinates near 1e-324 keep a bit or two, or round
+        # to zero: no axis is usable, and each is padding, written as +0.
+        d = (np.ones((4, 4)) - np.eye(4)) * 5e-324
+        res = mds_embed(DistanceMatrix(entries=d), dim)
+        assert res.n_positive == 0 and res.padded
+        assert res.coords.tobytes() == np.zeros((4, dim)).tobytes()
+        assert res.eigenvalues.tobytes() == np.zeros(dim).tobytes()
 
     @pytest.mark.parametrize("ambient", [2, 5])
     def test_euclidean_points_match_eigh(self, ambient):
@@ -1138,9 +1152,7 @@ class TestMds:
     def test_repeated_top_eigenvalue(self, extra):
         # Four quarter-turns of one point set in the plane give its two
         # plane axes equal eigenvalues; extra coordinates shared by each
-        # orbit add distinct ones. At extra = 6 the first Lanczos block ends
-        # at step 8, where dim 2 has its first test, with one copy found.
-        # Compare the eigenspace projector.
+        # orbit add distinct ones. Compare the eigenspace projector.
         rng = np.random.default_rng(extra)
         base = np.hstack([rng.uniform(-1.0, 1.0, (25, 2)), 0.3 * rng.standard_normal((25, extra))])
         turn = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -1155,6 +1167,30 @@ class TestMds:
             plane = res.coords[:, :2]
             assert plane @ plane.T == pytest.approx(coords @ coords.T, abs=1e-9 * evals[0])
 
+    @pytest.mark.parametrize("seed, count, metric", [(0, 25, "sqrt"), (1, 50, "sqrt"), (3, 10, "l1")])
+    def test_repeated_eigenvalues_of_full_rank_matrix(self, seed, count, metric):
+        # Quarter-turns of a planar point set under a metric the turn keeps
+        # (the square root of Euclidean distance, or L1, which is far from
+        # Euclidean) give a full-rank centred matrix whose eigenvalues come
+        # in equal pairs. No Krylov space closes early there: from a single
+        # start vector it holds one copy of each pair, and the next distinct
+        # eigenvalue came back in place of the other. Any orthonormal basis
+        # of an eigenspace is right, so check the eigenpairs themselves.
+        base = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 2))
+        turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+        pts = np.vstack([base @ np.linalg.matrix_power(turn, r) for r in range(4)])
+        diff = pts[:, None, :] - pts[None, :, :]
+        d = np.linalg.norm(diff, axis=-1) ** 0.5 if metric == "sqrt" else np.abs(diff).sum(axis=-1)
+        d = np.triu(d, 1) + np.triu(d, 1).T
+        evals, _, b = mds_oracle(d, 8)
+        assert np.count_nonzero(np.isclose(evals[1:], evals[:-1], rtol=1e-12, atol=0)) == 2  # two pairs
+        for dim in range(1, 9):
+            res = mds_embed(DistanceMatrix(entries=d), dim)
+            tol = 1e-9 * evals[0]
+            assert res.eigenvalues == pytest.approx(evals[:dim], rel=0, abs=tol)
+            assert res.coords.T @ res.coords == pytest.approx(np.diag(res.eigenvalues), rel=0, abs=tol)
+            assert np.abs(b @ res.coords - res.coords * res.eigenvalues).max() <= tol * np.abs(res.coords).max()
+
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_collinear_points_pad(self, dim):
         pos = np.random.default_rng(2).uniform(-5.0, 5.0, 30)
@@ -1163,8 +1199,9 @@ class TestMds:
         assert np.all(res.coords[:, 1:] == 0.0)
 
     def test_low_rank_stops_early(self, monkeypatch):
-        # Past the rank, every fresh vector is invariant at once; that must
-        # not put off the test until all n steps are done.
+        # Past the rank, every new direction is rounding noise and a fresh
+        # vector takes its place; the first test must still stop the
+        # iteration, not all n steps.
         sizes, held = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda t: sizes.append(len(t)) or held(t))
         pos = np.random.default_rng(4).uniform(-5.0, 5.0, (200, 3))
